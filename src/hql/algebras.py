@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Sequence
 
 from .hypersubs import HyperSub
-from .terms import App, Signature, Term, Var
+from .terms import Signature, Term, Var
 
 
 class AlgebraError(ValueError):
@@ -76,12 +76,6 @@ class FiniteAlgebra:
             if o == op:
                 return t
         raise AlgebraError(f"no table for operation {op!r}")
-
-    def element_index(self, label: str) -> int:
-        try:
-            return self.universe.index(label)
-        except ValueError:
-            raise AlgebraError(f"unknown element label {label!r}") from None
 
     def op_value(self, op: str, args: Sequence[int]) -> int:
         pos = 0

@@ -21,7 +21,6 @@ from .dsl import (
     ResolveError,
     SigmaNamer,
     Workspace,
-    format_hypersub,
     format_term,
     render_algebra_file,
     render_proof_file,
@@ -51,6 +50,10 @@ def _verdict(ok: bool) -> str:
     return _color("HOLDS", "32") if ok else _color("FAILS", "31")
 
 
+def _sigma_text(sigma) -> str:
+    return "; ".join(f"{op} -> {format_term(img)}" for op, img in sigma.images)
+
+
 def _sigma_json(sigma) -> dict | None:
     if sigma is None:
         return None
@@ -78,10 +81,7 @@ def _witness_text(cex: CounterExample, algebra: FiniteAlgebra) -> list[str]:
     if cex.label:
         out.append(f"  equation:   {cex.label}")
     if cex.sigma is not None:
-        images = "; ".join(
-            f"{op} -> {format_term(img)}" for op, img in cex.sigma.images
-        )
-        out.append(f"  sigma:      {images}")
+        out.append(f"  sigma:      {_sigma_text(cex.sigma)}")
     env = ", ".join(
         f"x{v} = {algebra.universe[e]}" for v, e in sorted(cex.assignment.items())
     )
@@ -91,6 +91,19 @@ def _witness_text(cex: CounterExample, algebra: FiniteAlgebra) -> list[str]:
         f"  values:     {algebra.universe[cex.lhs_value]} != {algebra.universe[cex.rhs_value]}"
     )
     return out
+
+
+def _report(check: str, inputs: dict, result: str, **extra) -> dict:
+    return {"schema": 1, "check": check, "inputs": inputs, "result": result, **extra}
+
+
+def _write_out(args, text: str) -> list[str]:
+    """Write `text` to `--out` if given; the human lines that report it."""
+    if not args.out:
+        return [text.rstrip()]
+    with open(args.out, "w", encoding="utf-8") as handle:
+        handle.write(text)
+    return [f"wrote {args.out}"]
 
 
 def _emit(report: dict, human: list[str], as_json: bool) -> None:
@@ -119,13 +132,12 @@ def _cmd_check(ws: Workspace, args) -> int:
         else satisfies_theory(algebra, target)
     )
     ok = bool(result)
-    report = {
-        "schema": 1,
-        "check": "check",
-        "inputs": {"algebra": args.algebra, kind: args.quasi or args.theory},
-        "result": "holds" if ok else "fails",
-        "witness": None if ok else _witness_json(result, algebra),
-    }
+    report = _report(
+        "check",
+        {"algebra": args.algebra, kind: args.quasi or args.theory},
+        "holds" if ok else "fails",
+        witness=None if ok else _witness_json(result, algebra),
+    )
     human = [f"check {args.quasi or args.theory} on {args.algebra}: {_verdict(ok)}"]
     if not ok:
         human += _witness_text(result, algebra)
@@ -143,18 +155,17 @@ def _cmd_hypercheck(ws: Workspace, args) -> int:
         else hyper_satisfies_theory(algebra, target, monoid)
     )
     ok = bool(result)
-    report = {
-        "schema": 1,
-        "check": "hypercheck",
-        "inputs": {
+    report = _report(
+        "hypercheck",
+        {
             "algebra": args.algebra,
             kind: args.quasi or args.theory,
             "monoid": args.monoid,
             "coverage": monoid.coverage_note(),
         },
-        "result": "holds" if ok else "fails",
-        "witness": None if ok else _witness_json(result, algebra),
-    }
+        "holds" if ok else "fails",
+        witness=None if ok else _witness_json(result, algebra),
+    )
     human = [
         f"hypercheck {args.quasi or args.theory} on {args.algebra} "
         f"under {args.monoid} ({monoid.coverage_note()}): {_verdict(ok)}"
@@ -169,18 +180,11 @@ def _cmd_derive(ws: Workspace, args) -> int:
     algebra = ws.algebra(args.algebra)
     _, sigma = ws.hypersub(args.sigma)
     derived = algebra.derived(sigma)
-    text = render_algebra_file(derived)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    report = {
-        "schema": 1,
-        "check": "derive",
-        "inputs": {"algebra": args.algebra, "sigma": args.sigma},
-        "result": "ok",
-        "out": args.out,
-    }
-    _emit(report, [text.rstrip()] if not args.out else [f"wrote {args.out}"], args.json)
+    human = _write_out(args, render_algebra_file(derived))
+    report = _report(
+        "derive", {"algebra": args.algebra, "sigma": args.sigma}, "ok", out=args.out
+    )
+    _emit(report, human, args.json)
     return 0
 
 
@@ -189,22 +193,15 @@ def _cmd_verify_proof(ws: Workspace, args) -> int:
     try:
         check_proof(proof)
     except ProofError as exc:
-        report = {
-            "schema": 1,
-            "check": "verify-proof",
-            "inputs": {"proof": args.proof},
-            "result": "invalid",
-            "witness": {"line": None if exc.line is None else exc.line + 1, "reason": exc.reason},
-        }
+        report = _report(
+            "verify-proof",
+            {"proof": args.proof},
+            "invalid",
+            witness={"line": None if exc.line is None else exc.line + 1, "reason": exc.reason},
+        )
         _emit(report, [f"proof {args.proof}: {_color('INVALID', '31')}", f"  {exc}"], args.json)
         return 1
-    report = {
-        "schema": 1,
-        "check": "verify-proof",
-        "inputs": {"proof": args.proof},
-        "result": "valid",
-        "witness": None,
-    }
+    report = _report("verify-proof", {"proof": args.proof}, "valid", witness=None)
     _emit(
         report,
         [f"proof {args.proof}: {_color('VALID', '32')} "
@@ -217,20 +214,16 @@ def _cmd_verify_proof(ws: Workspace, args) -> int:
 def _cmd_normalize_proof(ws: Workspace, args) -> int:
     proof = ws.proof(args.proof)
     normal = normalize(proof, expand_compat=args.expand_compat)
-    text = render_proof_file(normal)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    report = {
-        "schema": 1,
-        "check": "normalize-proof",
-        "inputs": {"proof": args.proof},
-        "result": "ok",
-        "lines": len(normal.lines),
-        "conclusion": str(normal.conclusion()),
-        "out": args.out,
-    }
-    _emit(report, [text.rstrip()] if not args.out else [f"wrote {args.out}"], args.json)
+    human = _write_out(args, render_proof_file(normal))
+    report = _report(
+        "normalize-proof",
+        {"proof": args.proof},
+        "ok",
+        lines=len(normal.lines),
+        conclusion=str(normal.conclusion()),
+        out=args.out,
+    )
+    _emit(report, human, args.json)
     return 0
 
 
@@ -238,19 +231,15 @@ def _cmd_hyperclose(ws: Workspace, args) -> int:
     theory = ws.theory(args.theory)
     monoid = ws.monoid(args.monoid)
     closed = hyperclose(theory, monoid)
-    text = render_theory_file(closed)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    report = {
-        "schema": 1,
-        "check": "hyperclose",
-        "inputs": {"theory": args.theory, "monoid": args.monoid},
-        "result": "ok",
-        "items": len(closed.items),
-        "out": args.out,
-    }
-    _emit(report, [text.rstrip()] if not args.out else [f"wrote {args.out}"], args.json)
+    human = _write_out(args, render_theory_file(closed))
+    report = _report(
+        "hyperclose",
+        {"theory": args.theory, "monoid": args.monoid},
+        "ok",
+        items=len(closed.items),
+        out=args.out,
+    )
+    _emit(report, human, args.json)
     return 0
 
 
@@ -264,14 +253,10 @@ def _cmd_saturate(ws: Workspace, args) -> int:
         premise_count=args.premises,
         iterations=args.iterations,
     )
-    text = render_theory_file(result.theory)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    report = {
-        "schema": 1,
-        "check": "saturate",
-        "inputs": {
+    written = _write_out(args, render_theory_file(result.theory))
+    report = _report(
+        "saturate",
+        {
             "theory": args.theory,
             "monoid": args.monoid,
             "caps": {
@@ -280,18 +265,15 @@ def _cmd_saturate(ws: Workspace, args) -> int:
                 "iterations": args.iterations,
             },
         },
-        "result": "ok",
-        "items": len(result.theory.items),
-        "truncated": result.truncated,
-        "out": args.out,
-    }
-    human = [f"saturated to {len(result.theory.items)} item(s)"
-             + (" [truncated by iteration cap]" if result.truncated else "")]
-    if not args.out and not args.json:
-        human.append(text.rstrip())
-    elif args.out:
-        human.append(f"wrote {args.out}")
-    _emit(report, human, args.json)
+        "ok",
+        items=len(result.theory.items),
+        truncated=result.truncated,
+        truncated_by=result.truncated_by,
+        out=args.out,
+    )
+    note = {"items": " [truncated by item cap]", "iterations": " [truncated by iteration cap]"}
+    head = f"saturated to {len(result.theory.items)} item(s)" + note.get(result.truncated_by, "")
+    _emit(report, [head, *written], args.json)
     return 0
 
 
@@ -317,23 +299,19 @@ def _cmd_solid_check(ws: Workspace, args) -> int:
             "failures": len(result.failures),
         }
         human.append(f"  witness algebra: {first.witness}")
-        human.append(
-            "  sigma:           "
-            + "; ".join(f"{op} -> {format_term(img)}" for op, img in first.sigma.images)
-        )
+        human.append(f"  sigma:           {_sigma_text(first.sigma)}")
         human += _witness_text(first.detail, algebra)
-    report = {
-        "schema": 1,
-        "check": "solid-check",
-        "inputs": {
+    report = _report(
+        "solid-check",
+        {
             "theory": args.theory,
             "witnesses": args.witnesses,
             "monoid": args.monoid,
             "coverage": monoid.coverage_note(),
         },
-        "result": "holds" if ok else "fails",
-        "witness": witness_json,
-    }
+        "holds" if ok else "fails",
+        witness=witness_json,
+    )
     _emit(report, human, args.json)
     return 0 if ok else 1
 
@@ -346,16 +324,14 @@ def _cmd_monoid(ws: Workspace, args) -> int:
     if args.action == "list":
         human = [f"monoid {args.monoid}: {monoid.coverage_note()}"]
         for name, sigma in zip(names, elements):
-            images = "; ".join(f"{op} -> {format_term(img)}" for op, img in sigma.images)
-            human.append(f"  {name}: {images}")
-        report = {
-            "schema": 1,
-            "check": "monoid-list",
-            "inputs": {"monoid": args.monoid},
-            "result": "ok",
-            "elements": [_sigma_json(s) for s in elements],
-            "coverage": monoid.coverage_note(),
-        }
+            human.append(f"  {name}: {_sigma_text(sigma)}")
+        report = _report(
+            "monoid-list",
+            {"monoid": args.monoid},
+            "ok",
+            elements=[_sigma_json(s) for s in elements],
+            coverage=monoid.coverage_note(),
+        )
         _emit(report, human, args.json)
         return 0
     index = {sigma: name for name, sigma in zip(names, elements)}
@@ -367,13 +343,7 @@ def _cmd_monoid(ws: Workspace, args) -> int:
             nc = index.get(c)
             table.append({"left": na, "right": nb, "result": nc})
             human.append(f"  {na} o {nb} = {nc or '<outside>'}")
-    report = {
-        "schema": 1,
-        "check": "monoid-closure",
-        "inputs": {"monoid": args.monoid},
-        "result": "ok",
-        "table": table,
-    }
+    report = _report("monoid-closure", {"monoid": args.monoid}, "ok", table=table)
     _emit(report, human, args.json)
     return 0
 
@@ -463,6 +433,12 @@ def main(argv=None) -> int:
         return args.func(ws, args)
     except (ParseError, ResolveError, TermError, MonoidError, AlgebraError, ProofError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: term nesting too deep", file=sys.stderr)
+        return 2
+    except Exception as exc:  # exit 1 means "refuted", so no crash may exit 1
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .algebras import FiniteAlgebra
-from .hypersubs import HyperSub, Monoid
+from .hypersubs import PRESETS, HyperSub, Monoid
 from .proofs import (
     Compat,
     Cut,
@@ -103,6 +103,8 @@ _TOKEN_RE = re.compile(
 )
 
 _VAR_RE = re.compile(r"x(\d+)$")
+
+_PRESET_ALIASES = {"MF": "fundamental"}
 
 
 def tokenize(text: str, filename: str = "<input>") -> list[Token]:
@@ -424,7 +426,7 @@ class _BlockParser(_Reader):
         element_names: list[str] = []
         generator_names: list[str] = []
         cap: int | None = None
-        preset: tuple | None = None
+        preset: tuple[str, tuple] | None = None
         while not self.at("}"):
             word = self.expect_kind("ident")
             if word.text in ("elements", "generators"):
@@ -436,7 +438,7 @@ class _BlockParser(_Reader):
             elif word.text == "cap":
                 cap = int(self.expect_kind("number").text)
             elif word.text == "preset":
-                preset = self._preset(sig)
+                preset = self._preset()
             else:
                 raise self.error(f"unknown monoid clause {word.text!r}", word)
             if self.at(";"):
@@ -445,7 +447,8 @@ class _BlockParser(_Reader):
         if preset is not None and (element_names or generator_names):
             raise self.error("a preset monoid cannot also list members")
         if preset is not None:
-            monoid = preset[0](name=name)
+            word, params = preset
+            monoid = Monoid.preset(sig, word, *params, name=name)
         elif element_names:
             sigmas = [self._sigma_by_name(n, sig) for n in element_names]
             monoid = Monoid.explicit(sig, sigmas, name=name)
@@ -456,36 +459,22 @@ class _BlockParser(_Reader):
             raise self.error("monoid needs elements, generators or a preset")
         self.ws._define(self.ws.monoids, "monoid", name, monoid)
 
-    def _preset(self, sig: Signature):
-        word = self.expect_kind("ident")
-        if word.text == "trivial":
-            return (lambda name: Monoid.trivial(sig, name=name),)
-        if word.text in ("fundamental", "MF"):
-            return (lambda name: Monoid.fundamental(sig, name=name),)
-        if word.text == "depth":
-            self.expect("(")
-            d = int(self.expect_kind("number").text)
+    def _preset(self) -> tuple[str, tuple]:
+        """A preset word and its parameters, read by the PRESETS types."""
+        tok = self.expect_kind("ident")
+        word = _PRESET_ALIASES.get(tok.text, tok.text)
+        if word not in PRESETS:
+            raise self.error(f"unknown preset {tok.text!r}", tok)
+        params: list = []
+        for i, ptype in enumerate(PRESETS[word].params):
+            self.expect("," if i else "(")
+            if ptype == "depth":
+                params.append(int(self.expect_kind("number").text))
+            else:
+                params.append(self.expect_kind("ident").text)
+        if params:
             self.expect(")")
-            return (lambda name: Monoid.depth_slice(sig, d, name=name),)
-        if word.text == "zero_meet":
-            self.expect("(")
-            d = int(self.expect_kind("number").text)
-            self.expect(",")
-            zero = self.expect_kind("ident").text
-            self.expect(",")
-            meet = self.expect_kind("ident").text
-            self.expect(")")
-            return (lambda name: Monoid.zero_meet(sig, d, zero, meet, name=name),)
-        if word.text == "zero_meet_fundamental":
-            self.expect("(")
-            zero = self.expect_kind("ident").text
-            self.expect(",")
-            meet = self.expect_kind("ident").text
-            self.expect(")")
-            return (
-                lambda name: Monoid.zero_meet_fundamental(sig, zero, meet, name=name),
-            )
-        raise self.error(f"unknown preset {word.text!r}", word)
+        return word, tuple(params)
 
     def _sigma_by_name(self, name: str, sig: Signature) -> HyperSub:
         if name not in self.ws.hypersubs:
@@ -770,24 +759,16 @@ class SigmaNamer:
 def format_monoid(monoid: Monoid, namer: SigmaNamer | None = None) -> str:
     name = monoid.name or "M"
     signame = monoid.sig.name or "S"
-    if monoid.kind == "trivial":
-        clause = "preset trivial;"
-    elif monoid.kind == "fundamental":
-        clause = "preset fundamental;"
-    elif monoid.kind == "depth_slice":
-        clause = f"preset depth({monoid.image_depth});"
-    elif monoid.kind == "zero_meet":
-        clause = f"preset zero_meet({monoid.image_depth}, {monoid.zero}, {monoid.meet});"
-    elif monoid.kind == "zero_meet_fundamental":
-        clause = f"preset zero_meet_fundamental({monoid.zero}, {monoid.meet});"
-    elif monoid.kind == "explicit":
-        namer = namer or SigmaNamer()
+    namer = namer or SigmaNamer()
+    if monoid.kind == "explicit":
         names = ", ".join(namer.get(s) for s in monoid.elements())
         clause = f"elements {names};"
-    else:
-        namer = namer or SigmaNamer()
+    elif monoid.kind == "generated":
         names = ", ".join(namer.get(s) for s in monoid.members)
         clause = f"generators {names}; cap {monoid.cap or 64};"
+    else:
+        args = f"({', '.join(map(str, monoid.params))})" if monoid.params else ""
+        clause = f"preset {monoid.kind}{args};"
     return f"monoid {name} over {signame} {{ {clause} }}"
 
 
@@ -884,25 +865,11 @@ def render_proof_file(proof: Proof) -> str:
     """Self-contained proof file: signature, theory, every referenced
     hypersubstitution, the monoid when one is fixed, then the proof."""
     namer = SigmaNamer()
-    sigmas: list[HyperSub] = []
-    for _, j in proof.lines:
-        if isinstance(j, HypSub) and j.sigma not in sigmas:
-            sigmas.append(j.sigma)
     monoid = proof.logic.monoid
-    chunks = [format_signature(proof.sig), format_theory(proof.theory)]
-    if monoid is not None:
-        if monoid.kind == "explicit":
-            for s in monoid.elements():
-                if s not in sigmas:
-                    sigmas.append(s)
-        elif monoid.kind == "generated":
-            for s in monoid.members:
-                if s not in sigmas:
-                    sigmas.append(s)
+    # Naming order: the proof's sigmas by line, then the monoid's members.
     body = format_proof(proof, namer, monoid_name=(monoid.name if monoid else "M") or "M")
-    for s in sigmas:
-        chunks.append(format_hypersub(namer.get(s), s, proof.sig))
-    if monoid is not None:
-        chunks.append(format_monoid(monoid, namer))
-    chunks.append(body)
+    monoid_text = [format_monoid(monoid, namer)] if monoid is not None else []
+    chunks = [format_signature(proof.sig), format_theory(proof.theory)]
+    chunks += [format_hypersub(name, s, proof.sig) for s, name in namer.names.items()]
+    chunks += monoid_text + [body]
     return "\n\n".join(chunks) + "\n"

@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .terms import (
     App,
@@ -30,7 +30,6 @@ from .terms import (
     Var,
     iter_terms,
     subst_vars,
-    term_depth,
     term_key,
     variables,
 )
@@ -67,12 +66,7 @@ class HyperSub:
 
     @classmethod
     def identity(cls, sig: Signature) -> "HyperSub":
-        return cls(
-            tuple(
-                (op, App(op, tuple(Var(i) for i in range(n))))
-                for op, n in sig.ops
-            )
-        )
+        return cls(tuple((op, _identity_image(op, n)) for op, n in sig.ops))
 
     def image(self, op: str) -> Term:
         for o, t in self.images:
@@ -127,11 +121,72 @@ class HyperSub:
                 return False
         return True
 
-    def max_image_depth(self) -> int:
-        return max(term_depth(img) for _, img in self.images)
-
     def sort_key(self):
         return tuple(term_key(img) for _, img in self.images)
+
+
+def _identity_image(op: str, arity: int) -> Term:
+    return App(op, tuple(Var(i) for i in range(arity)))
+
+
+def _fundamental_images(sig: Signature, op: str, arity: int, params: tuple) -> list[Term]:
+    return [
+        App(g, tuple(Var(i) for i in tup))
+        for g, n in sig.ops
+        if n == arity
+        for tup in itertools.product(range(arity), repeat=arity)
+    ]
+
+
+def _zero_meet_images(sig: Signature, op: str, arity: int, params: tuple) -> list[Term]:
+    depth, zero, meet = params
+    if op in (zero, meet):
+        return [_identity_image(op, arity)]
+    needed = set(range(arity))
+    return [
+        t
+        for t in iter_terms(sig, arity, depth)
+        if isinstance(t, App) and variables(t) >= needed
+    ]
+
+
+def _zero_meet_fundamental_images(sig: Signature, op: str, arity: int, params: tuple) -> list[Term]:
+    if op in params:
+        return [_identity_image(op, arity)]
+    return [
+        App(g, tuple(Var(i) for i in perm))
+        for g, n in sig.ops
+        if n == arity
+        for perm in itertools.permutations(range(arity))
+    ]
+
+
+@dataclass(frozen=True)
+class Preset:
+    """One preset monoid family: the product, over the operation symbols, of
+    each symbol's admissible images.
+
+    `params` names the parameter types in `.hql` order: "depth" is a
+    number, "constant" and "binary operation" name a symbol of arity 0 and
+    2.  A preset that is not `exhaustive` is a depth-bounded slice of an
+    infinite monoid, and its first parameter is the image depth bound.
+    """
+
+    params: tuple[str, ...]
+    exhaustive: bool
+    images: Callable[[Signature, str, int, tuple], list[Term]]
+
+
+_SYMBOL_ARITY = {"constant": 0, "binary operation": 2}
+
+# Keyed by the `.hql` preset word; the Monoid docstring says what each is.
+PRESETS: dict[str, Preset] = {
+    "trivial": Preset((), True, lambda sig, op, arity, params: [_identity_image(op, arity)]),
+    "fundamental": Preset((), True, _fundamental_images),
+    "depth": Preset(("depth",), False, lambda sig, op, arity, params: iter_terms(sig, arity, params[0])),
+    "zero_meet": Preset(("depth", "constant", "binary operation"), False, _zero_meet_images),
+    "zero_meet_fundamental": Preset(("constant", "binary operation"), True, _zero_meet_fundamental_images),
+}
 
 
 @dataclass(frozen=True)
@@ -142,28 +197,28 @@ class Monoid:
       explicit   -- members given outright; must contain the identity and be
                     closed under composition (checked on construction)
       generated  -- closure of the generators, aborting past `cap` elements
+    or a PRESETS word, the family instantiated with `params`:
       trivial    -- just the identity
       fundamental-- every sigma whose images are all non-variable fundamental
                     terms (one symbol over variables, repetition allowed)
-      depth_slice-- every sigma with image depth <= `image_depth`; a bounded
-                    slice of the monoid of all hypersubstitutions
-      zero_meet  -- sigma fixing the zero constant and the meet operation,
-                    all other images non-variable terms of depth <=
-                    `image_depth` in which every variable of the arity
-                    occurs (dropping a variable would let a derived
-                    operation ignore an argument, so zero plugged there
-                    would no longer absorb)
-      zero_meet_fundamental -- sigma fixing zero and meet whose other images
-                    rename the head symbol over a permutation of variables
+      depth(d)   -- every sigma with image depth <= d; a bounded slice of
+                    the monoid of all hypersubstitutions
+      zero_meet(d, zero, meet) -- sigma fixing the zero constant and the
+                    meet operation, all other images non-variable terms of
+                    depth <= d in which every variable of the arity occurs
+                    (dropping a variable would let a derived operation
+                    ignore an argument, so zero plugged there would no
+                    longer absorb)
+      zero_meet_fundamental(zero, meet) -- sigma fixing zero and meet whose
+                    other images rename the head symbol over a permutation
+                    of variables
     """
 
     sig: Signature
     kind: str
     members: tuple[HyperSub, ...] = ()
-    image_depth: int | None = None
+    params: tuple = ()
     cap: int | None = None
-    zero: str | None = None
-    meet: str | None = None
     name: str = field(default="", compare=False)
 
     @classmethod
@@ -185,33 +240,39 @@ class Monoid:
         return cls(sig, "generated", members=tuple(generators), cap=cap, name=name)
 
     @classmethod
+    def preset(cls, sig: Signature, word: str, *params, name: str = "") -> "Monoid":
+        """The PRESETS family `word` over `sig`; symbol parameters must name
+        operations of the stated arity."""
+        if word not in PRESETS:
+            raise MonoidError(f"unknown preset {word!r}")
+        types = PRESETS[word].params
+        if len(params) != len(types):
+            raise MonoidError(f"preset {word!r} takes {len(types)} parameter(s)")
+        for ptype, value in zip(types, params):
+            arity = _SYMBOL_ARITY.get(ptype)
+            if arity is not None and not (sig.has(value) and sig.arity(value) == arity):
+                raise MonoidError(f"signature has no {ptype} {value!r}")
+        return cls(sig, word, params=params, name=name)
+
+    @classmethod
     def trivial(cls, sig: Signature, name: str = "") -> "Monoid":
-        return cls(sig, "trivial", name=name)
+        return cls.preset(sig, "trivial", name=name)
 
     @classmethod
     def fundamental(cls, sig: Signature, name: str = "") -> "Monoid":
-        return cls(sig, "fundamental", name=name)
+        return cls.preset(sig, "fundamental", name=name)
 
     @classmethod
     def depth_slice(cls, sig: Signature, image_depth: int, name: str = "") -> "Monoid":
-        return cls(sig, "depth_slice", image_depth=image_depth, name=name)
+        return cls.preset(sig, "depth", image_depth, name=name)
 
     @classmethod
     def zero_meet(cls, sig: Signature, image_depth: int, zero: str, meet: str, name: str = "") -> "Monoid":
-        cls._check_zero_meet(sig, zero, meet)
-        return cls(sig, "zero_meet", image_depth=image_depth, zero=zero, meet=meet, name=name)
+        return cls.preset(sig, "zero_meet", image_depth, zero, meet, name=name)
 
     @classmethod
     def zero_meet_fundamental(cls, sig: Signature, zero: str, meet: str, name: str = "") -> "Monoid":
-        cls._check_zero_meet(sig, zero, meet)
-        return cls(sig, "zero_meet_fundamental", zero=zero, meet=meet, name=name)
-
-    @staticmethod
-    def _check_zero_meet(sig: Signature, zero: str, meet: str) -> None:
-        if not sig.has(zero) or sig.arity(zero) != 0:
-            raise MonoidError(f"signature has no constant {zero!r}")
-        if not sig.has(meet) or sig.arity(meet) != 2:
-            raise MonoidError(f"signature has no binary operation {meet!r}")
+        return cls.preset(sig, "zero_meet_fundamental", zero, meet, name=name)
 
     def elements(self) -> tuple[HyperSub, ...]:
         """Canonically ordered members (sorted by the image term order)."""
@@ -223,7 +284,13 @@ class Monoid:
     @property
     def is_exhaustive(self) -> bool:
         """False for depth-bounded slices of infinite monoids."""
-        return self.kind not in ("depth_slice", "zero_meet")
+        spec = PRESETS.get(self.kind)
+        return spec is None or spec.exhaustive
+
+    @property
+    def image_depth(self) -> int | None:
+        """The image depth bound of a depth-bounded slice, else None."""
+        return None if self.is_exhaustive else self.params[0]
 
     def coverage_note(self) -> str:
         n = len(self.elements())
@@ -234,14 +301,11 @@ class Monoid:
 
 @lru_cache(maxsize=None)
 def _elements(m: Monoid) -> tuple[HyperSub, ...]:
-    sig = m.sig
-    ident = HyperSub.identity(sig)
-    if m.kind == "trivial":
-        return (ident,)
     if m.kind == "explicit":
         return m.members  # validated and sorted at construction
     if m.kind == "generated":
         cap = m.cap if m.cap is not None else 64
+        ident = HyperSub.identity(m.sig)
         closure = {ident}
         frontier = [ident, *m.members]
         for g in m.members:
@@ -260,57 +324,16 @@ def _elements(m: Monoid) -> tuple[HyperSub, ...]:
                                 )
             frontier = nxt
         return tuple(sorted(closure, key=HyperSub.sort_key))
-    if m.kind == "fundamental":
-        choices = []
-        for op, n in sig.ops:
-            imgs = [
-                App(g, tuple(Var(i) for i in tup))
-                for g, gn in sig.ops
-                if gn == n
-                for tup in itertools.product(range(n), repeat=n)
-            ]
-            if not imgs:
-                raise MonoidError(f"no fundamental image available for {op!r}")
-            choices.append([(op, t) for t in imgs])
-        elems = [HyperSub(tuple(c)) for c in itertools.product(*choices)]
-        return tuple(sorted(set(elems), key=HyperSub.sort_key))
-    if m.kind == "depth_slice":
-        choices = []
-        for op, n in sig.ops:
-            imgs = iter_terms(sig, n, m.image_depth or 0)
-            choices.append([(op, t) for t in imgs])
-        elems = [HyperSub(tuple(c)) for c in itertools.product(*choices)]
-        return tuple(sorted(set(elems), key=HyperSub.sort_key))
-    if m.kind in ("zero_meet", "zero_meet_fundamental"):
-        fixed = {
-            m.zero: App(m.zero),
-            m.meet: App(m.meet, (Var(0), Var(1))),
-        }
-        choices = []
-        for op, n in sig.ops:
-            if op in fixed:
-                choices.append([(op, fixed[op])])
-                continue
-            if m.kind == "zero_meet":
-                needed = set(range(n))
-                imgs = [
-                    t
-                    for t in iter_terms(sig, n, m.image_depth or 0)
-                    if not isinstance(t, Var) and variables(t) >= needed
-                ]
-            else:
-                imgs = [
-                    App(g, tuple(Var(i) for i in perm))
-                    for g, gn in sig.ops
-                    if gn == n
-                    for perm in itertools.permutations(range(n))
-                ]
-            if not imgs:
-                raise MonoidError(f"no admissible image for {op!r}")
-            choices.append([(op, t) for t in imgs])
-        elems = [HyperSub(tuple(c)) for c in itertools.product(*choices)]
-        return tuple(sorted(set(elems), key=HyperSub.sort_key))
-    raise MonoidError(f"unknown monoid kind {m.kind!r}")
+    if m.kind not in PRESETS:
+        raise MonoidError(f"unknown monoid kind {m.kind!r}")
+    choices = []
+    for op, arity in m.sig.ops:
+        imgs = PRESETS[m.kind].images(m.sig, op, arity, m.params)
+        if not imgs:
+            raise MonoidError(f"no admissible image for {op!r}")
+        choices.append([(op, t) for t in imgs])
+    elems = (HyperSub(tuple(c)) for c in itertools.product(*choices))
+    return tuple(sorted(elems, key=HyperSub.sort_key))
 
 
 @lru_cache(maxsize=None)

@@ -485,59 +485,36 @@ def normalize(proof: Proof, expand_compat: bool = False) -> Proof:
                     i, "composite hypersubstitution escapes the proof monoid"
                 )
             return emit(j.line, composite)
-        if pending is None:
-            if isinstance(j, Hyp):
-                return builder.add(j)
-            if isinstance(j, (Refl, Sym, Trans, Compat, TermCompat)):
-                return builder.add(j)
-            if isinstance(j, Subst):
-                return builder.add(Subst(emit(j.line, None), j.delta))
-            if isinstance(j, Cut):
-                return builder.add(
-                    Cut(major=emit(j.major, None), minor=emit(j.minor, None))
-                )
-            if isinstance(j, Mp):
-                return builder.add(
-                    Mp(fact=emit(j.fact, None), implication=emit(j.implication, None))
-                )
-            if isinstance(j, Ext):
-                return builder.add(Ext(emit(j.line, None), j.added))
-            raise ProofError(i, f"unknown justification {type(j).__name__}")
         s = pending
+        m = s.apply if s else (lambda t: t)  # no pending sigma: the identity
         if isinstance(j, Hyp):
             base = builder.add(j)
-            return builder.add(HypSub(base, s))
+            return builder.add(HypSub(base, s)) if s else base
         if isinstance(j, Refl):
-            return builder.add(Refl(s.apply(j.term)))
+            return builder.add(Refl(m(j.term)))
         if isinstance(j, Sym):
-            return builder.add(Sym(s.apply(j.lhs), s.apply(j.rhs)))
+            return builder.add(Sym(m(j.lhs), m(j.rhs)))
         if isinstance(j, Trans):
-            return builder.add(Trans(s.apply(j.a), s.apply(j.b), s.apply(j.c)))
-        if isinstance(j, Compat):
-            pattern = s.image(j.op)
+            return builder.add(Trans(m(j.a), m(j.b), m(j.c)))
+        if isinstance(j, (Compat, TermCompat)):
+            if not s:
+                return builder.add(j)
+            pattern = s.image(j.op) if isinstance(j, Compat) else s.apply(j.pattern)
             lhs = tuple(s.apply(t) for t in j.lhs_args)
             rhs = tuple(s.apply(t) for t in j.rhs_args)
             if expand_compat:
                 return _emit_term_compat(builder, pattern, lhs, rhs)
             return builder.add(TermCompat(pattern, lhs, rhs))
-        if isinstance(j, TermCompat):
-            lhs = tuple(s.apply(t) for t in j.lhs_args)
-            rhs = tuple(s.apply(t) for t in j.rhs_args)
-            if expand_compat:
-                return _emit_term_compat(builder, s.apply(j.pattern), lhs, rhs)
-            return builder.add(TermCompat(s.apply(j.pattern), lhs, rhs))
         if isinstance(j, Subst):
             inner = emit(j.line, s)
-            delta1 = Substitution.of(
-                {k: s.apply(t) for k, t in j.delta.bindings}
-            )
-            return builder.add(Subst(inner, delta1))
+            delta = Substitution.of({k: m(t) for k, t in j.delta.bindings})
+            return builder.add(Subst(inner, delta))
         if isinstance(j, Cut):
             return builder.add(Cut(major=emit(j.major, s), minor=emit(j.minor, s)))
         if isinstance(j, Mp):
             return builder.add(Mp(fact=emit(j.fact, s), implication=emit(j.implication, s)))
         if isinstance(j, Ext):
-            return builder.add(Ext(emit(j.line, s), s.apply_equation(j.added)))
+            return builder.add(Ext(emit(j.line, s), j.added.map_terms(m)))
         raise ProofError(i, f"unknown justification {type(j).__name__}")
 
     final = emit(len(proof.lines) - 1, None)
@@ -643,7 +620,11 @@ def map_proof(proof: Proof, sigma: HyperSub) -> Proof:
 class SaturationResult:
     theory: Theory
     proof: Proof
-    truncated: bool
+    truncated_by: str | None  # "items", "iterations", or None at a fixpoint
+
+    @property
+    def truncated(self) -> bool:
+        return self.truncated_by is not None
 
     def line_of(self, item: QuasiEquation) -> int:
         for i, (quasi, _) in enumerate(self.proof.lines):
@@ -670,8 +651,9 @@ def saturate(
     variable-to-variable over each item's own variables.  Rounds combine
     only against the previous round's new items, so a fixpoint means no rule
     produces anything new anywhere.  Every emitted item carries a checkable
-    proof line.  `truncated` is set when the iteration or item cap cut
-    growth short rather than a fixpoint being reached.
+    proof line.  `truncated_by` names the cap that cut growth short:
+    "items" when `max_items` dropped an item, else "iterations" when the
+    rounds ran out before a fixpoint; it is None at a fixpoint.
     """
     logic = Logic.mhq(monoid)
     builder = ProofBuilder(theory, logic)
@@ -757,7 +739,7 @@ def saturate(
                 ),
             )
 
-    truncated = False
+    truncated_by = None
     for round_no in range(iterations):
         new: list[QuasiEquation] = []
 
@@ -806,11 +788,12 @@ def saturate(
 
         all_identities.extend(new_identities)
         if not new:
-            truncated = capped
             break
         frontier = new
     else:
-        truncated = True
+        truncated_by = "iterations"
+    if capped:
+        truncated_by = "items"
 
     result_theory = Theory(theory.sig, tuple(order), name=theory.name)
-    return SaturationResult(result_theory, builder.proof(), truncated)
+    return SaturationResult(result_theory, builder.proof(), truncated_by)

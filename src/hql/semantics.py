@@ -34,7 +34,6 @@ from .terms import (
     Var,
     as_quasi,
     iter_terms_canonical,
-    term_depth,
     variables,
 )
 

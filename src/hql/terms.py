@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Sequence, Union
+from typing import Mapping, Union
 
 
 class TermError(ValueError):
@@ -110,14 +110,6 @@ def term_size(term: Term) -> int:
     return 1 + sum(term_size(a) for a in term.args)
 
 
-def subterms(term: Term) -> Iterator[Term]:
-    """All subterms, outermost first."""
-    yield term
-    if isinstance(term, App):
-        for arg in term.args:
-            yield from subterms(arg)
-
-
 def subst_vars(term: Term, mapping: Mapping[int, Term]) -> Term:
     """Simultaneously replace variables of `term` according to `mapping`."""
     if isinstance(term, Var):
@@ -172,12 +164,6 @@ class Substitution:
 
     def as_dict(self) -> dict[int, Term]:
         return dict(self.bindings)
-
-    def lookup(self, index: int) -> Term:
-        for i, t in self.bindings:
-            if i == index:
-                return t
-        return Var(index)
 
     def apply(self, term: Term) -> Term:
         return subst_vars(term, self.as_dict())

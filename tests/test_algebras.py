@@ -96,5 +96,5 @@ def test_eval_substitution_lemma(ws, t, env_vals):
     l2 = ws.algebra("l2")
     env = {0: env_vals[0], 1: env_vals[1]}
     delta = Substitution.of({0: App("join", (Var(0), Var(1))), 1: App("meet", (Var(0), Var(0)))})
-    inner_env = {i: l2.eval(delta.lookup(i), env) for i in (0, 1)}
+    inner_env = {i: l2.eval(delta.apply(Var(i)), env) for i in (0, 1)}
     assert l2.eval(delta.apply(t), env) == l2.eval(t, inner_env)

@@ -222,3 +222,43 @@ def test_parse_error_exits_2(capsys, tmp_path):
     code, _, err = run(capsys, "check", str(bad), "--algebra", "a", "--quasi", "q")
     assert code == 2
     assert "bad.hql" in err
+
+
+def test_deep_term_exits_2_without_traceback(capsys, tmp_path):
+    deep = tmp_path / "deep.hql"
+    term = "mul(" * 3000 + "x" + ", x)" * 3000
+    deep.write_text(
+        "signature S { mul/2; }\n"
+        "algebra z over S { elements 0 1; mul = [[0, 1], [1, 0]]; }\n"
+        f"quasi deep over S {{ {term} = x }}\n"
+    )
+    code, _, err = run(capsys, "check", str(deep), "--algebra", "z", "--quasi", "deep")
+    assert code == 2
+    assert "term nesting too deep" in err
+    assert "Traceback" not in err
+
+
+def test_unexpected_exception_exits_2(capsys, fixture_files, monkeypatch):
+    import hql.cli
+
+    def boom(ws, args):
+        raise ZeroDivisionError("boom")
+
+    monkeypatch.setattr(hql.cli, "_cmd_check", boom)
+    code, _, err = run(
+        capsys, "check", *fixture_files, "--algebra", "z3sub", "--quasi", "right_cancellation"
+    )
+    assert code == 2
+    assert err.startswith("error: internal error: ZeroDivisionError: boom")
+
+
+def test_saturate_names_the_item_cap(capsys, fixture_files):
+    code, out, _ = run(
+        capsys, "saturate", *fixture_files, "--theory", "cancellation_demo",
+        "--monoid", "grp_pos", "--term-depth", "1", "--premises", "3",
+        "--iterations", "2", "--json",
+    )
+    assert code == 0
+    report = json.loads(out)
+    assert report["items"] == 2000
+    assert report["truncated"] is True and report["truncated_by"] == "items"

@@ -15,7 +15,7 @@ from hql.dsl import (
     render_proof_file,
     render_theory_file,
 )
-from hql.proofs import check_proof, hyperclose, normalize
+from hql.proofs import Hyp, HypSub, Logic, ProofBuilder, check_proof, hyperclose, normalize
 from hql.terms import App, Var
 
 
@@ -58,11 +58,36 @@ def test_theory_roundtrip(ws):
     assert ws2.theory("flat_base").items == theory.items
 
 
+PRESET_SPELLINGS = [
+    "trivial",
+    "fundamental",
+    "MF",
+    "depth(0)",
+    "depth(1)",
+    "zero_meet(1, zero, meet)",
+    "zero_meet_fundamental(zero, meet)",
+]
+
+
+def _monoid_file(monoid):
+    namer = SigmaNamer()
+    body = format_monoid(monoid, namer)
+    chunks = [format_signature(monoid.sig)]
+    chunks += [format_hypersub(name, s, monoid.sig) for s, name in namer.names.items()]
+    return "\n\n".join(chunks + [body])
+
+
 def test_monoid_preset_roundtrip(ws):
-    monoid = ws.monoid("flat_zm")
-    text = format_signature(monoid.sig) + "\n" + format_monoid(monoid)
-    ws2 = Workspace().load_text(text)
-    assert ws2.monoid("flat_zm").elements() == monoid.elements()
+    flat = format_signature(ws.signature("FLAT"))
+    monoids = [ws.monoid("flat_zm"), ws.monoid("grp_proj")]
+    for spelling in PRESET_SPELLINGS:
+        text = f"{flat}\nmonoid m over FLAT {{ preset {spelling}; }}"
+        monoids.append(Workspace().load_text(text).monoid("m"))
+    for monoid in monoids:
+        text = _monoid_file(monoid)
+        again = Workspace().load_text(text).monoid(monoid.name)
+        assert again.elements() == monoid.elements(), text
+        assert _monoid_file(again) == text
 
 
 def test_explicit_monoid_roundtrip(ws):
@@ -86,6 +111,20 @@ def test_proof_file_roundtrip(ws):
         assert [line for line, _ in again.lines] == [line for line, _ in proof.lines]
         check_proof(again)
         assert again.logic.kind == proof.logic.kind
+
+
+def test_generated_monoid_proof_file_roundtrip(ws):
+    monoid = ws.monoid("grp_proj")
+    _, left = ws.hypersub("grp_left")
+    builder = ProofBuilder(ws.theory("cancellation_demo"), Logic.mhq(monoid))
+    builder.add(HypSub(builder.add(Hyp(0)), left))
+    proof = builder.proof(name="proj_demo")
+    text = render_proof_file(proof)
+    again = Workspace().load_text(text).proof("proj_demo")
+    check_proof(again)
+    assert [line for line, _ in again.lines] == [line for line, _ in proof.lines]
+    assert again.logic.monoid.elements() == monoid.elements()
+    assert render_proof_file(again) == text
 
 
 def test_normalized_proof_roundtrip(ws):

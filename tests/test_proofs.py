@@ -433,8 +433,15 @@ def test_saturate_idempotent_at_fixpoint():
 def test_saturate_truncation_flag():
     result = saturate(THEORY, POS, term_depth_cap=1, premise_count=3, iterations=1)
     assert result.truncated  # one round cannot reach the fixpoint here
+    assert result.truncated_by == "iterations"
     more = saturate(THEORY, POS, term_depth_cap=1, premise_count=3, iterations=2)
     assert len(more.theory.items) >= len(result.theory.items)
+
+
+def test_saturate_names_the_item_cap():
+    result = saturate(THEORY, POS, term_depth_cap=1, premise_count=3, iterations=1, max_items=200)
+    assert len(result.theory.items) == 200
+    assert result.truncated and result.truncated_by == "items"
 
 
 def test_saturate_monotone_in_caps():

@@ -72,7 +72,7 @@ def test_compose_identity_and_chain():
     assert delta.compose(Substitution.identity()) == delta
     d2 = Substitution.of({0: x1})
     d1 = Substitution.of({1: x2})
-    assert d1.compose(d2).lookup(0) == x2
+    assert d1.compose(d2).apply(Var(0)) == x2
 
 
 def test_swap_composed_with_itself_is_identity():
