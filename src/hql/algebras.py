@@ -91,17 +91,20 @@ class FiniteAlgebra:
             return env[term.index]
         return self.op_value(term.op, [self.eval(a, env) for a in term.args])
 
+    def term_table(self, term: Term, arity: int) -> tuple[int, ...]:
+        """The `arity`-ary term operation of `term` (over x0..x_{arity-1}),
+        as a flat row-major table."""
+        return tuple(
+            self.eval(term, dict(enumerate(tup)))
+            for tup in itertools.product(range(self.size), repeat=arity)
+        )
+
     def derived(self, sigma: HyperSub) -> "FiniteAlgebra":
         """Reinterpret every operation as the term operation of its image."""
-        tables = []
-        for op, arity in self.sig.ops:
-            img = sigma.image(op)
-            entries = tuple(
-                self.eval(img, dict(enumerate(tup)))
-                for tup in itertools.product(range(self.size), repeat=arity)
-            )
-            tables.append((op, entries))
-        return FiniteAlgebra(self.sig, self.universe, tuple(tables), name=self.name)
+        tables = tuple(
+            (op, self.term_table(sigma.image(op), arity)) for op, arity in self.sig.ops
+        )
+        return FiniteAlgebra(self.sig, self.universe, tables, name=self.name)
 
     def assignments(self, variables: Sequence[int]) -> Iterator[dict[int, int]]:
         """All assignments to the given variables, in lexicographic order

@@ -34,10 +34,11 @@ from .semantics import (
     check_solidity,
     hyper_satisfies,
     hyper_satisfies_theory,
+    require_one_signature,
     satisfies,
     satisfies_theory,
 )
-from .terms import TermError
+from .terms import Signature, TermError
 
 
 def _color(text: str, code: str) -> str:
@@ -114,18 +115,19 @@ def _emit(report: dict, human: list[str], as_json: bool) -> None:
             print(line)
 
 
-def _target(ws: Workspace, args) -> tuple[str, object]:
+def _target(ws: Workspace, args) -> tuple[str, object, Signature]:
     if getattr(args, "quasi", None):
         sig, quasi = ws.quasi(args.quasi)
-        return "quasi", quasi
+        return "quasi", quasi, sig
     if getattr(args, "theory", None):
-        return "theory", ws.theory(args.theory)
+        theory = ws.theory(args.theory)
+        return "theory", theory, theory.sig
     raise ResolveError("target", "(--quasi or --theory required)")
 
 
 def _cmd_check(ws: Workspace, args) -> int:
     algebra = ws.algebra(args.algebra)
-    kind, target = _target(ws, args)
+    kind, target, _ = _target(ws, args)
     result = (
         satisfies(algebra, target)
         if kind == "quasi"
@@ -148,7 +150,9 @@ def _cmd_check(ws: Workspace, args) -> int:
 def _cmd_hypercheck(ws: Workspace, args) -> int:
     algebra = ws.algebra(args.algebra)
     monoid = ws.monoid(args.monoid)
-    kind, target = _target(ws, args)
+    kind, target, sig = _target(ws, args)
+    if kind == "quasi":
+        require_one_signature((f"algebra {args.algebra}", algebra.sig), (f"quasi {args.quasi}", sig))
     result = (
         hyper_satisfies(algebra, target, monoid)
         if kind == "quasi"

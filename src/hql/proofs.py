@@ -459,32 +459,59 @@ def normalize(proof: Proof, expand_compat: bool = False) -> Proof:
     composition -- which must stay inside the proof monoid.
 
     Each rewrite strictly shortens the distance from a hypersubstitution
-    step to the leaves, so the recursion terminates; memoisation keeps one
-    output line per (input line, pending map) pair.
+    step to the leaves, so the walk terminates; memoisation keeps one
+    output line per (input line, pending map) pair.  The walk keeps its own
+    stack, so a proof may be any number of lines deep, and emits in post
+    order: premises first (cut major before minor, modus ponens fact before
+    implication), each pair once.
     """
     check_proof(proof)
     builder = ProofBuilder(proof.theory, proof.logic)
     memo: dict[tuple[int, HyperSub | None], int] = {}
 
-    def emit(i: int, pending: HyperSub | None) -> int:
+    def node(i: int, pending: HyperSub | None) -> tuple[int, HyperSub | None]:
         if pending is not None and pending.is_identity():
             pending = None
-        key = (i, pending)
-        if key in memo:
-            return memo[key]
-        quasi, j = proof.lines[i]
-        out = _emit_line(i, quasi, j, pending)
-        memo[key] = out
-        return out
+        return (i, pending)
 
-    def _emit_line(i, quasi, j, pending) -> int:
+    def premises(i: int, j, pending) -> list[tuple[int, HyperSub | None]]:
+        """The (line, pending map) pairs line i's output is built from."""
         if isinstance(j, HypSub):
             composite = j.sigma if pending is None else pending.compose(j.sigma)
             if not proof.logic.admits(composite):
                 raise ProofError(
                     i, "composite hypersubstitution escapes the proof monoid"
                 )
-            return emit(j.line, composite)
+            return [node(j.line, composite)]
+        if isinstance(j, (Subst, Ext)):
+            return [node(j.line, pending)]
+        if isinstance(j, Cut):
+            return [node(j.major, pending), node(j.minor, pending)]
+        if isinstance(j, Mp):
+            return [node(j.fact, pending), node(j.implication, pending)]
+        return []
+
+    def emit(i: int, pending: HyperSub | None) -> int:
+        stack = [(node(i, pending), None)]
+        while stack:
+            key, needs = stack.pop()
+            if key in memo:
+                continue
+            j = proof.lines[key[0]][1]
+            if needs is None:
+                needs = premises(key[0], j, key[1])
+            missing = [n for n in needs if n not in memo]
+            if missing:
+                stack.append((key, needs))
+                stack.extend((n, None) for n in reversed(missing))
+                continue
+            memo[key] = _emit_line(key[0], j, key[1], [memo[n] for n in needs])
+        return memo[node(i, pending)]
+
+    def _emit_line(i, j, pending, done: list[int]) -> int:
+        """Line i under `pending`, given the output lines of its premises."""
+        if isinstance(j, HypSub):
+            return done[0]
         s = pending
         m = s.apply if s else (lambda t: t)  # no pending sigma: the identity
         if isinstance(j, Hyp):
@@ -506,15 +533,14 @@ def normalize(proof: Proof, expand_compat: bool = False) -> Proof:
                 return _emit_term_compat(builder, pattern, lhs, rhs)
             return builder.add(TermCompat(pattern, lhs, rhs))
         if isinstance(j, Subst):
-            inner = emit(j.line, s)
             delta = Substitution.of({k: m(t) for k, t in j.delta.bindings})
-            return builder.add(Subst(inner, delta))
+            return builder.add(Subst(done[0], delta))
         if isinstance(j, Cut):
-            return builder.add(Cut(major=emit(j.major, s), minor=emit(j.minor, s)))
+            return builder.add(Cut(major=done[0], minor=done[1]))
         if isinstance(j, Mp):
-            return builder.add(Mp(fact=emit(j.fact, s), implication=emit(j.implication, s)))
+            return builder.add(Mp(fact=done[0], implication=done[1]))
         if isinstance(j, Ext):
-            return builder.add(Ext(emit(j.line, s), j.added.map_terms(m)))
+            return builder.add(Ext(done[0], j.added.map_terms(m)))
         raise ProofError(i, f"unknown justification {type(j).__name__}")
 
     final = emit(len(proof.lines) - 1, None)

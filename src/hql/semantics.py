@@ -10,17 +10,25 @@ Three levels of satisfaction over one finite algebra:
     models the base theory (the finite-witness reading of closure under
     the derivation operator).
 
+Hyper checks and solidity go through the bridge A |= sigma(q) iff
+A^sigma |= q, where the derived algebra A^sigma reinterprets every
+operation as the term operation of its image.  Thousands of members
+typically share a handful of derived algebras, so each check is decided
+once per distinct derived algebra (identified by its tables) within one
+call; sigma(q) is built only for the member whose witness is reported.
+
 All checks are exhaustive over assignments and monoid members -- never
 sampled -- and report the lexicographically first counterexample under the
 fixed orderings (variables ascending, elements in universe order, monoid
 members in canonical order).  Everything is pure; internal sweeps could be
 parallelised as long as the first-in-order witness is the one reported.
+The algebra, theory and monoid of one check must share one signature.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterator, Sequence, Union
 
 from .algebras import AlgebraError, FiniteAlgebra
@@ -131,23 +139,115 @@ def satisfies_theory(algebra: FiniteAlgebra, theory: Theory) -> CheckResult:
     return True
 
 
-def hyper_satisfies(
-    algebra: FiniteAlgebra, item: Union[Equation, QuasiEquation], monoid: Monoid
-) -> CheckResult:
-    """Classical satisfaction of sigma(item) for every monoid member."""
-    quasi = as_quasi(item)
-    for sigma in monoid.elements():
-        result = satisfies(algebra, sigma.apply_quasi(quasi))
-        if not result:
+def require_one_signature(first: tuple[str, Signature], *others: tuple[str, Signature]) -> None:
+    """Raise AlgebraError, naming both, unless every (description,
+    signature) pair is over the first pair's signature."""
+    what, sig = first
+    for other, other_sig in others:
+        if other_sig != sig:
+            raise AlgebraError(
+                f"signature mismatch: {what} is over {_sig_name(sig)}, "
+                f"{other} is over {_sig_name(other_sig)}"
+            )
+
+
+def _sig_name(sig: Signature) -> str:
+    return sig.name or "{ " + " ".join(f"{op}/{n};" for op, n in sig.ops) + " }"
+
+
+def _named(kind: str, obj) -> str:
+    return f"{kind} {obj.name or '<unnamed>'}"
+
+
+class _DerivedAlgebras:
+    """The derived algebras of one algebra under the members of one monoid,
+    shared by the checks of one call.
+
+    A member's key is the tuple of its derived tables in signature order.
+    Tables are cached per operation by the identity of the image object:
+    preset monoids share one object per admissible image, so each table is
+    computed once per distinct image, and `sigmas` keeps every image alive
+    for the whole call, so an id is never reused.  Each algebra is built
+    once per key, so thousands of members sharing a handful of derived
+    algebras cost a handful of constructions.
+    """
+
+    def __init__(self, algebra: FiniteAlgebra, monoid: Monoid):
+        self.algebra = algebra
+        self.sigmas = monoid.elements()
+        self._tables: list[dict[int, tuple[int, ...]]] = [{} for _ in algebra.sig.ops]
+        self._keys: list[tuple[tuple[int, ...], ...]] = []
+        self._algebras: dict[tuple[tuple[int, ...], ...], FiniteAlgebra] = {}
+
+    def members(self) -> Iterator[tuple[HyperSub, tuple]]:
+        """(sigma, key) in canonical order; keys are computed on first visit."""
+        ops, keys = list(zip(self.algebra.sig.ops, self._tables)), self._keys
+        for n, sigma in enumerate(self.sigmas):
+            if n == len(keys):
+                key = []
+                for (op, arity), tables in ops:
+                    img = sigma.image(op)
+                    table = tables.get(id(img))
+                    if table is None:
+                        table = tables[id(img)] = self.algebra.term_table(img, arity)
+                    key.append(table)
+                keys.append(tuple(key))
+            yield sigma, keys[n]
+
+    def get(self, key: tuple) -> FiniteAlgebra:
+        """The derived algebra with the tables `key`; equal to
+        `algebra.derived(sigma)` for every sigma with that key."""
+        if key not in self._algebras:
+            a = self.algebra
+            self._algebras[key] = FiniteAlgebra(
+                a.sig, a.universe, tuple(zip(a.sig.op_names, key)), name=a.name
+            )
+        return self._algebras[key]
+
+
+def _hyper(derived: _DerivedAlgebras, quasi: QuasiEquation) -> CheckResult:
+    """The first member whose derived algebra refutes `quasi` gets the
+    witness of the classical check of sigma(quasi) in the algebra itself."""
+    verdicts: dict[tuple, bool] = {}
+    for sigma, key in derived.members():
+        ok = verdicts.get(key)
+        if ok is None:
+            ok = verdicts[key] = bool(satisfies(derived.get(key), quasi))
+        if not ok:
+            result = satisfies(derived.algebra, sigma.apply_quasi(quasi))
             result.sigma = sigma
             return result
     return True
 
 
+def hyper_satisfies(
+    algebra: FiniteAlgebra, item: Union[Equation, QuasiEquation], monoid: Monoid
+) -> CheckResult:
+    """Classical satisfaction of sigma(item) for every monoid member.
+
+    Decided through the bridge A |= sigma(q) iff A^sigma |= q: one classical
+    check per distinct derived algebra A^sigma.  sigma(q) is built only for
+    the first refuting member, and the witness is that of the classical
+    check of sigma(q) in A, so the assignment ranges over the variables of
+    sigma(q).
+    """
+    require_one_signature(
+        (_named("algebra", algebra), algebra.sig), (_named("monoid", monoid), monoid.sig)
+    )
+    return _hyper(_DerivedAlgebras(algebra, monoid), as_quasi(item))
+
+
 def hyper_satisfies_theory(algebra: FiniteAlgebra, theory: Theory, monoid: Monoid) -> CheckResult:
-    """Conjunction over the theory; the first failure (item-major) wins."""
+    """Conjunction over the theory; the first failure (item-major) wins.
+    The derived tables are shared across the items."""
+    require_one_signature(
+        (_named("algebra", algebra), algebra.sig),
+        (_named("theory", theory), theory.sig),
+        (_named("monoid", monoid), monoid.sig),
+    )
+    derived = _DerivedAlgebras(algebra, monoid)
     for i, item in enumerate(theory.items):
-        result = hyper_satisfies(algebra, item, monoid)
+        result = _hyper(derived, item)
         if not result:
             result.item = i
             return result
@@ -162,8 +262,16 @@ def check_solidity(
     """Do all derived algebras of all witnesses still model the bases?
 
     Every witness must model the bases classically to begin with; a witness
-    that does not is a precondition violation, reported by name.
+    that does not is a precondition violation, reported by name.  The bases
+    are checked once per distinct derived algebra of each witness; every
+    failing (witness, sigma) pair, in witness order then canonical member
+    order, gets its own copy of that algebra's counterexample.
     """
+    require_one_signature(
+        (_named("theory", bases), bases.sig),
+        *((_named("witness", w), w.sig) for w in witnesses),
+        (_named("monoid", monoid), monoid.sig),
+    )
     for w in witnesses:
         pre = satisfies_theory(w, bases)
         if not pre:
@@ -172,10 +280,15 @@ def check_solidity(
             )
     failures: list[SolidityFailure] = []
     for w in witnesses:
-        for sigma in monoid.elements():
-            result = satisfies_theory(w.derived(sigma), bases)
+        derived = _DerivedAlgebras(w, monoid)
+        verdicts: dict[tuple, CheckResult] = {}
+        for sigma, key in derived.members():
+            if key not in verdicts:
+                verdicts[key] = satisfies_theory(derived.get(key), bases)
+            result = verdicts[key]
             if not result:
-                failures.append(SolidityFailure(w.name or "<unnamed>", sigma, result))
+                detail = replace(result, assignment=dict(result.assignment))
+                failures.append(SolidityFailure(w.name or "<unnamed>", sigma, detail))
     if failures:
         return SolidityReport(failures)
     return True

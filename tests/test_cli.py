@@ -224,6 +224,18 @@ def test_parse_error_exits_2(capsys, tmp_path):
     assert "bad.hql" in err
 
 
+def test_hypercheck_signature_mismatch_exits_2(capsys, fixture_files):
+    # a GRP theory under a GRP monoid on the LAT algebra l2 is no question at all
+    for target in (["--theory", "cancellation"], ["--quasi", "right_cancellation"]):
+        code, out, err = run(
+            capsys, "hypercheck", *fixture_files, "--algebra", "l2", *target, "--monoid", "grp_proj"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: signature mismatch: algebra l2 is over LAT, ")
+        assert err.endswith(" is over GRP\n") and err.count("\n") == 1
+
+
 def test_deep_term_exits_2_without_traceback(capsys, tmp_path):
     deep = tmp_path / "deep.hql"
     term = "mul(" * 3000 + "x" + ", x)" * 3000

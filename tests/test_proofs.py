@@ -325,6 +325,25 @@ def test_normalize_composite_escaping_slice_monoid():
     assert "escape" in err.value.reason
 
 
+def test_normalize_long_subst_chain():
+    # 1,500 substitutions between the hypothesis and the hypersubstitution:
+    # deeper than the interpreter's recursion limit
+    swap_vars = Substitution.of({0: x1, 1: x0})
+    builder = ProofBuilder(THEORY, Logic.mhq(POS))
+    line = builder.add(Hyp(0))
+    for _ in range(1500):
+        line = builder.add(Subst(line, swap_vars))
+    builder.add(HypSub(line, SWAP))
+    proof = builder.proof()
+    check_proof(proof)
+    normal = normalize(proof)
+    check_proof(normal)
+    assert is_normal(normal)
+    assert normal.conclusion().set_eq(proof.conclusion())
+    kinds = [type(j).__name__ for _, j in normal.lines]
+    assert kinds == ["Hyp", "HypSub"] + ["Subst"] * 1500
+
+
 def test_strip_to_q_and_back():
     delta = Substitution.of({0: mul(x0, x1)})
     builder = ProofBuilder(THEORY, Logic.mhq(POS))

@@ -1,6 +1,9 @@
 import itertools
+from dataclasses import replace
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from hql.algebras import AlgebraError, FiniteAlgebra, all_algebras
 from hql.hypersubs import HyperSub, Monoid
@@ -21,7 +24,8 @@ from hql.semantics import (
 )
 from hql.terms import App, Equation, QuasiEquation, Signature, Var, variables
 
-from strategies import GRP, LAT
+import _hyper_oracle as oracle
+from strategies import GRP, LAT, MIXED, quasis
 
 x0, x1, x2 = Var(0), Var(1), Var(2)
 
@@ -233,6 +237,89 @@ def test_solidity_iff_hyper_satisfaction_for_single_witness(ws):
         assert (check_solidity(base, [f3], monoid) is True) == (
             hyper_satisfies_theory(f3, base, monoid) is True
         )
+
+
+# -- differential: one verdict per derived algebra vs the per-sigma oracle ----
+
+
+@st.composite
+def random_algebras(draw, sig):
+    size = draw(st.integers(1, 3))
+    tables = {
+        op: draw(st.lists(st.integers(0, size - 1), min_size=size**n, max_size=size**n))
+        for op, n in sig.ops
+    }
+    return FiniteAlgebra.of(sig, [str(i) for i in range(size)], tables, name="a")
+
+
+def _dropping_monoid(sig):
+    """A small monoid whose members have images that drop variables."""
+    generators = {
+        GRP: [{"mul": x0}, {"mul": x1}],
+        LAT: [{"meet": x0, "join": App("meet", (x1, x1))}],
+        MIXED: [
+            {"f": App("g", (x0,)), "g": App("g", (x0,)), "c": App("c")},
+            {"f": x1, "g": x0, "c": App("c")},
+        ],
+    }[sig]
+    return Monoid.generated(sig, [HyperSub.of(sig, g) for g in generators])
+
+
+# depth(2) stays with GRP (38 members): over LAT it has 40,804 and over
+# MIXED 233,766, too many for the per-sigma oracle on every example.
+_DEPTHS = {GRP: (0, 1, 2), LAT: (0, 1), MIXED: (0, 1)}
+_MONOIDS = {
+    sig: [Monoid.depth_slice(sig, d) for d in depths]
+    + [Monoid.fundamental(sig), _dropping_monoid(sig)]
+    for sig, depths in _DEPTHS.items()
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_hyper_checks_match_per_sigma_oracle(data):
+    sig = data.draw(st.sampled_from([GRP, LAT, MIXED]))
+    algebra = data.draw(random_algebras(sig))
+    monoid = data.draw(st.sampled_from(_MONOIDS[sig]))
+    items = data.draw(st.lists(quasis(sig, max_depth=2, max_premises=2), min_size=1, max_size=3))
+    for item in items:
+        assert hyper_satisfies(algebra, item, monoid) == oracle.hyper_satisfies(algebra, item, monoid)
+    theory = Theory(sig, tuple(items))
+    assert hyper_satisfies_theory(algebra, theory, monoid) == oracle.hyper_satisfies_theory(
+        algebra, theory, monoid
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_solidity_matches_per_sigma_oracle(data):
+    sig = data.draw(st.sampled_from([GRP, LAT, MIXED]))
+    drawn = data.draw(st.lists(random_algebras(sig), min_size=1, max_size=2))
+    witnesses = [replace(w, name=f"w{i}") for i, w in enumerate(drawn)]
+    monoid = data.draw(st.sampled_from(_MONOIDS[sig]))
+    items = data.draw(st.lists(quasis(sig, max_depth=2, max_premises=2), max_size=4))
+    bases = Theory(sig, tuple(q for q in items if all(satisfies(w, q) is True for w in witnesses)))
+    got = check_solidity(bases, witnesses, monoid)
+    want = oracle.check_solidity(bases, witnesses, monoid)
+    if want is True:
+        assert got is True
+        return
+    assert got.failures == want.failures
+    details = [f.detail for f in got.failures]
+    assert len({id(d) for d in details}) == len({id(d.assignment) for d in details}) == len(details)
+
+
+def test_signature_mismatch_is_an_error(ws):
+    l2, z3 = ws.algebra("l2"), ws.algebra("z3sub")
+    grp_proj, cancellation = ws.monoid("grp_proj"), ws.theory("cancellation")
+    with pytest.raises(AlgebraError, match="algebra l2 is over LAT, theory cancellation is over GRP"):
+        hyper_satisfies_theory(l2, cancellation, grp_proj)
+    with pytest.raises(AlgebraError, match="algebra l2 is over LAT, monoid grp_proj is over GRP"):
+        hyper_satisfies(l2, ws.quasi("right_cancellation")[1], grp_proj)
+    with pytest.raises(AlgebraError, match="theory cancellation is over GRP, witness l2 is over LAT"):
+        check_solidity(cancellation, [z3, l2], grp_proj)
+    with pytest.raises(AlgebraError, match="theory cancellation is over GRP, monoid lat_four is over LAT"):
+        check_solidity(cancellation, [z3], ws.monoid("lat_four"))
 
 
 # -- zero-semilattice / flat checks -------------------------------------------
