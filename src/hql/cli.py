@@ -38,7 +38,7 @@ from .semantics import (
     satisfies,
     satisfies_theory,
 )
-from .terms import Signature, TermError
+from .terms import TermError
 
 
 def _color(text: str, code: str) -> str:
@@ -115,19 +115,27 @@ def _emit(report: dict, human: list[str], as_json: bool) -> None:
             print(line)
 
 
-def _target(ws: Workspace, args) -> tuple[str, object, Signature]:
+def _target(ws: Workspace, args, algebra: FiniteAlgebra) -> tuple[str, object]:
+    """The --quasi or --theory object, which must be over the algebra's
+    signature."""
     if getattr(args, "quasi", None):
-        sig, quasi = ws.quasi(args.quasi)
-        return "quasi", quasi, sig
-    if getattr(args, "theory", None):
-        theory = ws.theory(args.theory)
-        return "theory", theory, theory.sig
-    raise ResolveError("target", "(--quasi or --theory required)")
+        kind = "quasi"
+        sig, target = ws.quasi(args.quasi)
+    elif getattr(args, "theory", None):
+        kind = "theory"
+        target = ws.theory(args.theory)
+        sig = target.sig
+    else:
+        raise ResolveError("target", "(--quasi or --theory required)")
+    require_one_signature(
+        (f"algebra {args.algebra}", algebra.sig), (f"{kind} {args.quasi or args.theory}", sig)
+    )
+    return kind, target
 
 
 def _cmd_check(ws: Workspace, args) -> int:
     algebra = ws.algebra(args.algebra)
-    kind, target, _ = _target(ws, args)
+    kind, target = _target(ws, args, algebra)
     result = (
         satisfies(algebra, target)
         if kind == "quasi"
@@ -150,9 +158,7 @@ def _cmd_check(ws: Workspace, args) -> int:
 def _cmd_hypercheck(ws: Workspace, args) -> int:
     algebra = ws.algebra(args.algebra)
     monoid = ws.monoid(args.monoid)
-    kind, target, sig = _target(ws, args)
-    if kind == "quasi":
-        require_one_signature((f"algebra {args.algebra}", algebra.sig), (f"quasi {args.quasi}", sig))
+    kind, target = _target(ws, args, algebra)
     result = (
         hyper_satisfies(algebra, target, monoid)
         if kind == "quasi"
@@ -182,7 +188,8 @@ def _cmd_hypercheck(ws: Workspace, args) -> int:
 
 def _cmd_derive(ws: Workspace, args) -> int:
     algebra = ws.algebra(args.algebra)
-    _, sigma = ws.hypersub(args.sigma)
+    sig, sigma = ws.hypersub(args.sigma)
+    require_one_signature((f"algebra {args.algebra}", algebra.sig), (f"hypersub {args.sigma}", sig))
     derived = algebra.derived(sigma)
     human = _write_out(args, render_algebra_file(derived))
     report = _report(

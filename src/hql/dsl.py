@@ -35,12 +35,13 @@ Justifications: `hyp k`, `E1(p)`, `E2(p,q)`, `E3(p,q,r)`,
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 from .algebras import FiniteAlgebra
 from .hypersubs import PRESETS, HyperSub, Monoid
 from .proofs import (
+    LINE_REFS,
     Compat,
     Cut,
     Ext,
@@ -55,6 +56,7 @@ from .proofs import (
     Sym,
     TermCompat,
     Trans,
+    line_refs,
 )
 from .semantics import Theory
 from .terms import (
@@ -105,6 +107,22 @@ _TOKEN_RE = re.compile(
 _VAR_RE = re.compile(r"x(\d+)$")
 
 _PRESET_ALIASES = {"MF": "fundamental"}
+
+# Justification class -> its `.hql` word; the docstring gives each form.
+_RULE_WORDS: dict[type, str] = {
+    Hyp: "hyp",
+    Refl: "E1",
+    Sym: "E2",
+    Trans: "E3",
+    Compat: "E4",
+    TermCompat: "ge4",
+    Subst: "subst",
+    Cut: "cut",
+    Ext: "ext",
+    HypSub: "hypsub",
+    Mp: "mp",
+}
+_RULE_CLASSES = {word: cls for cls, word in _RULE_WORDS.items()}
 
 
 def tokenize(text: str, filename: str = "<input>") -> list[Token]:
@@ -647,50 +665,31 @@ class _BlockParser(_Reader):
 
     def _justification(self, sig: Signature, scope: _TermScope, current: int) -> Justification:
         tok = self.expect_kind("ident")
-        word = tok.text
-        if word == "hyp":
+        cls = _RULE_CLASSES.get(tok.text)
+        if cls is None:
+            raise self.error(f"unknown justification {tok.text!r}", tok)
+        if cls is Hyp:
             return Hyp(int(self.expect_kind("number").text))
-        if word == "E1":
+        if cls in (Refl, Sym, Trans):
             self.expect("(")
-            term = _parse_term(self, sig, scope)
+            terms = []
+            for i in range(len(fields(cls))):
+                if i:
+                    self.expect(",")
+                terms.append(_parse_term(self, sig, scope))
             self.expect(")")
-            return Refl(term)
-        if word == "E2":
+            return cls(*terms)
+        if cls in (Compat, TermCompat):
             self.expect("(")
-            lhs = _parse_term(self, sig, scope)
-            self.expect(",")
-            rhs = _parse_term(self, sig, scope)
-            self.expect(")")
-            return Sym(lhs, rhs)
-        if word == "E3":
-            self.expect("(")
-            a = _parse_term(self, sig, scope)
-            self.expect(",")
-            b = _parse_term(self, sig, scope)
-            self.expect(",")
-            c = _parse_term(self, sig, scope)
-            self.expect(")")
-            return Trans(a, b, c)
-        if word == "E4":
-            self.expect("(")
-            op_tok = self.expect_kind("ident")
+            head = self.expect_kind("ident").text if cls is Compat else _parse_term(self, sig, scope)
             self.expect(";")
             lhs = self._term_list(sig, scope)
             self.expect(";")
             rhs = self._term_list(sig, scope)
             self.expect(")")
-            return Compat(op_tok.text, lhs, rhs)
-        if word == "ge4":
-            self.expect("(")
-            pattern = _parse_term(self, sig, scope)
-            self.expect(";")
-            lhs = self._term_list(sig, scope)
-            self.expect(";")
-            rhs = self._term_list(sig, scope)
-            self.expect(")")
-            return TermCompat(pattern, lhs, rhs)
-        if word == "subst":
-            line = self._line_ref(current)
+            return cls(head, lhs, rhs)
+        refs = [self._line_ref(current) for _ in LINE_REFS[cls]]
+        if cls is Subst:
             self.expect("{")
             bindings: dict[int, Term] = {}
             while not self.at("}"):
@@ -703,27 +702,15 @@ class _BlockParser(_Reader):
                 if self.at(","):
                     self.next()
             self.expect("}")
-            return Subst(line, Substitution.of(bindings))
-        if word == "cut":
-            major = self._line_ref(current)
-            minor = self._line_ref(current)
-            return Cut(major=major, minor=minor)
-        if word == "mp":
-            fact = self._line_ref(current)
-            implication = self._line_ref(current)
-            return Mp(fact=fact, implication=implication)
-        if word == "ext":
-            line = self._line_ref(current)
-            added = _parse_equation(self, sig, scope)
-            return Ext(line, added)
-        if word == "hypsub":
-            line = self._line_ref(current)
+            return Subst(*refs, Substitution.of(bindings))
+        if cls is Ext:
+            return Ext(*refs, _parse_equation(self, sig, scope))
+        if cls is HypSub:
             sigma_tok = self.expect_kind("ident")
             if sigma_tok.text not in self.ws.hypersubs:
                 raise ResolveError("hypersub", sigma_tok.text)
-            _, sigma = self.ws.hypersubs[sigma_tok.text]
-            return HypSub(line, sigma)
-        raise self.error(f"unknown justification {word!r}", tok)
+            return HypSub(*refs, self.ws.hypersubs[sigma_tok.text][1])
+        return cls(*refs)  # cut, mp
 
 
 # -- rendering ----------------------------------------------------------------
@@ -807,35 +794,27 @@ def format_theory(theory: Theory) -> str:
 
 
 def format_justification(j: Justification, namer: SigmaNamer) -> str:
-    terms = format_term
+    if type(j) not in _RULE_WORDS:
+        raise TypeError(f"unknown justification {type(j).__name__}")
+    word = _RULE_WORDS[type(j)]
     if isinstance(j, Hyp):
-        return f"hyp {j.index}"
-    if isinstance(j, Refl):
-        return f"E1({terms(j.term)})"
-    if isinstance(j, Sym):
-        return f"E2({terms(j.lhs)}, {terms(j.rhs)})"
-    if isinstance(j, Trans):
-        return f"E3({terms(j.a)}, {terms(j.b)}, {terms(j.c)})"
-    if isinstance(j, Compat):
-        lhs = ", ".join(terms(t) for t in j.lhs_args)
-        rhs = ", ".join(terms(t) for t in j.rhs_args)
-        return f"E4({j.op}; {lhs}; {rhs})"
-    if isinstance(j, TermCompat):
-        lhs = ", ".join(terms(t) for t in j.lhs_args)
-        rhs = ", ".join(terms(t) for t in j.rhs_args)
-        return f"ge4({terms(j.pattern)}; {lhs}; {rhs})"
+        return f"{word} {j.index}"
+    if isinstance(j, (Refl, Sym, Trans)):
+        return f"{word}({', '.join(format_term(getattr(j, f.name)) for f in fields(j))})"
+    if isinstance(j, (Compat, TermCompat)):
+        head = j.op if isinstance(j, Compat) else format_term(j.pattern)
+        lhs = ", ".join(format_term(t) for t in j.lhs_args)
+        rhs = ", ".join(format_term(t) for t in j.rhs_args)
+        return f"{word}({head}; {lhs}; {rhs})"
+    head = " ".join([word, *(str(k + 1) for k in line_refs(j))])
     if isinstance(j, Subst):
-        pairs = ", ".join(f"x{i} -> {terms(t)}" for i, t in j.delta.bindings)
-        return f"subst {j.line + 1} {{{pairs}}}"
-    if isinstance(j, Cut):
-        return f"cut {j.major + 1} {j.minor + 1}"
-    if isinstance(j, Mp):
-        return f"mp {j.fact + 1} {j.implication + 1}"
+        pairs = ", ".join(f"x{i} -> {format_term(t)}" for i, t in j.delta.bindings)
+        return f"{head} {{{pairs}}}"
     if isinstance(j, Ext):
-        return f"ext {j.line + 1} {j.added}"
+        return f"{head} {j.added}"
     if isinstance(j, HypSub):
-        return f"hypsub {j.line + 1} {namer.get(j.sigma)}"
-    raise TypeError(f"unknown justification {type(j).__name__}")
+        return f"{head} {namer.get(j.sigma)}"
+    return head  # cut, mp
 
 
 def format_proof(proof: Proof, namer: SigmaNamer, monoid_name: str = "M") -> str:

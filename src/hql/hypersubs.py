@@ -16,13 +16,13 @@ image depth.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Iterable, Mapping
 
 from .terms import (
     App,
-    Equation,
     QuasiEquation,
     Signature,
     Term,
@@ -37,6 +37,12 @@ from .terms import (
 
 class MonoidError(ValueError):
     """Raised for invalid monoid descriptions or failed enumerations."""
+
+
+# Preset monoids are enumerated in full and held in memory; a larger one is
+# refused rather than exhausting it.  Far above the 40,804 members of
+# depth(2) over a signature with two binary symbols.
+MAX_PRESET_MEMBERS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -80,9 +86,6 @@ class HyperSub:
             return term
         mapped = {i: self.apply(a) for i, a in enumerate(term.args)}
         return subst_vars(self.image(term.op), mapped)
-
-    def apply_equation(self, eq: Equation) -> Equation:
-        return eq.map_terms(self.apply)
 
     def apply_quasi(self, q: QuasiEquation) -> QuasiEquation:
         return q.map_terms(self.apply)
@@ -332,6 +335,12 @@ def _elements(m: Monoid) -> tuple[HyperSub, ...]:
         if not imgs:
             raise MonoidError(f"no admissible image for {op!r}")
         choices.append([(op, t) for t in imgs])
+    count = math.prod(len(c) for c in choices)
+    if count > MAX_PRESET_MEMBERS:
+        raise MonoidError(
+            f"preset {m.kind} over {m.sig.name or 'an unnamed signature'} has {count:,} "
+            f"members, more than the {MAX_PRESET_MEMBERS:,} that can be enumerated"
+        )
     elems = (HyperSub(tuple(c)) for c in itertools.product(*choices))
     return tuple(sorted(elems, key=HyperSub.sort_key))
 

@@ -23,6 +23,7 @@ is a single forward pass.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from dataclasses import dataclass, field
 from typing import Sequence, Union
@@ -131,6 +132,26 @@ Justification = Union[
     Hyp, Refl, Sym, Trans, Compat, TermCompat, Subst, Cut, Ext, HypSub, Mp
 ]
 
+# Rule class -> the names of its fields that hold earlier line numbers, in
+# text order; a rule not listed refers to no earlier line.
+LINE_REFS: dict[type, tuple[str, ...]] = {
+    Subst: ("line",),
+    Cut: ("major", "minor"),
+    Ext: ("line",),
+    HypSub: ("line",),
+    Mp: ("fact", "implication"),
+}
+
+
+def line_refs(j: Justification) -> list[int]:
+    """The earlier lines `j` refers to, in text order."""
+    return [getattr(j, name) for name in LINE_REFS.get(type(j), ())]
+
+
+def with_line_refs(j: Justification, lines: Sequence[int]) -> Justification:
+    """`j` referring to `lines` (in text order) in place of its own."""
+    return dataclasses.replace(j, **dict(zip(LINE_REFS.get(type(j), ()), lines)))
+
 
 @dataclass(frozen=True)
 class Logic:
@@ -192,14 +213,15 @@ def produced_statement(
     """
     sig = theory.sig
 
-    def ref(k: int) -> QuasiEquation:
-        if not 0 <= k < lineno:
-            raise ProofError(lineno, f"reference to line {k + 1} is not an earlier line")
-        return stated[k]
-
     def check_term(t: Term) -> Term:
         sig.validate(t)
         return t
+
+    refs: list[QuasiEquation] = []  # the referenced lines, in text order
+    for k in line_refs(j):
+        if not 0 <= k < lineno:
+            raise ProofError(lineno, f"reference to line {k + 1} is not an earlier line")
+        refs.append(stated[k])
 
     if isinstance(j, Hyp):
         if not 0 <= j.index < len(theory.items):
@@ -223,72 +245,56 @@ def produced_statement(
             (Equation(j.a, j.b), Equation(j.b, j.c)), Equation(j.a, j.c)
         )
 
-    if isinstance(j, Compat):
-        if not sig.has(j.op):
-            raise ProofError(lineno, f"unknown operation symbol {j.op!r}")
-        n = sig.arity(j.op)
-        if len(j.lhs_args) != n or len(j.rhs_args) != n:
-            raise ProofError(lineno, f"compatibility for {j.op!r} needs {n} argument pair(s)")
-        for t in (*j.lhs_args, *j.rhs_args):
-            check_term(t)
-        premises = tuple(Equation(a, b) for a, b in zip(j.lhs_args, j.rhs_args))
-        return QuasiEquation(
-            premises, Equation(App(j.op, j.lhs_args), App(j.op, j.rhs_args))
-        )
-
-    if isinstance(j, TermCompat):
-        if len(j.lhs_args) != len(j.rhs_args):
-            raise ProofError(lineno, "generalised compatibility needs equally many argument terms")
-        n = len(j.lhs_args)
-        check_term(j.pattern)
-        if any(v >= n for v in variables(j.pattern)):
-            raise ProofError(lineno, f"pattern uses variables beyond x{n - 1}")
+    if isinstance(j, (Compat, TermCompat)):
+        # compatibility is generalised compatibility for the pattern op(x0, ...)
+        if isinstance(j, Compat):
+            if not sig.has(j.op):
+                raise ProofError(lineno, f"unknown operation symbol {j.op!r}")
+            n = sig.arity(j.op)
+            if len(j.lhs_args) != n or len(j.rhs_args) != n:
+                raise ProofError(lineno, f"compatibility for {j.op!r} needs {n} argument pair(s)")
+            pattern = App(j.op, tuple(Var(i) for i in range(n)))
+        else:
+            if len(j.lhs_args) != len(j.rhs_args):
+                raise ProofError(lineno, "generalised compatibility needs equally many argument terms")
+            n = len(j.lhs_args)
+            pattern = check_term(j.pattern)
+            if any(v >= n for v in variables(pattern)):
+                raise ProofError(lineno, f"pattern uses variables beyond x{n - 1}")
         for t in (*j.lhs_args, *j.rhs_args):
             check_term(t)
         premises = tuple(Equation(a, b) for a, b in zip(j.lhs_args, j.rhs_args))
         return QuasiEquation(
             premises,
-            Equation(
-                _instantiate(j.pattern, j.lhs_args),
-                _instantiate(j.pattern, j.rhs_args),
-            ),
+            Equation(_instantiate(pattern, j.lhs_args), _instantiate(pattern, j.rhs_args)),
         )
 
     if isinstance(j, Subst):
-        base = ref(j.line)
         for _, t in j.delta.bindings:
             check_term(t)
-        return base.map_terms(j.delta.apply)
+        return refs[0].map_terms(j.delta.apply)
 
-    if isinstance(j, Cut):
-        major, minor = ref(j.major), ref(j.minor)
+    if isinstance(j, (Cut, Mp)):
+        # modus ponens is a cut whose minor premise (the fact) has no premises
+        major, minor = refs if isinstance(j, Cut) else refs[::-1]
+        if isinstance(j, Mp) and minor.premises:
+            raise ProofError(lineno, "modus ponens: the fact line must have no premises")
         alpha = minor.conclusion
         if alpha not in major.premises:
             raise ProofError(
-                lineno, "cut: minor conclusion does not occur among major premises"
+                lineno,
+                "cut: minor conclusion does not occur among major premises"
+                if isinstance(j, Cut)
+                else "modus ponens: fact does not occur among the implication premises",
             )
         kept = tuple(p for p in major.premises if p != alpha)
         return QuasiEquation(minor.premises + kept, major.conclusion)
 
-    if isinstance(j, Mp):
-        fact, impl = ref(j.fact), ref(j.implication)
-        if fact.premises:
-            raise ProofError(lineno, "modus ponens: the fact line must have no premises")
-        alpha = fact.conclusion
-        if alpha not in impl.premises:
-            raise ProofError(
-                lineno, "modus ponens: fact does not occur among the implication premises"
-            )
-        kept = tuple(p for p in impl.premises if p != alpha)
-        return QuasiEquation(kept, impl.conclusion)
-
     if isinstance(j, Ext):
-        base = ref(j.line)
         check_term(j.added.lhs), check_term(j.added.rhs)
-        return QuasiEquation((j.added,) + base.premises, base.conclusion)
+        return QuasiEquation((j.added,) + refs[0].premises, refs[0].conclusion)
 
     if isinstance(j, HypSub):
-        base = ref(j.line)
         if set(op for op, _ in j.sigma.images) != set(sig.op_names):
             raise ProofError(lineno, "hypersubstitution is not over the proof signature")
         for _, img in j.sigma.images:
@@ -297,7 +303,7 @@ def produced_statement(
             if logic.kind == "Q":
                 raise ProofError(lineno, "hypersubstitution steps are not part of the plain calculus")
             raise ProofError(lineno, "hypersubstitution is not a member of the proof monoid")
-        return j.sigma.apply_quasi(base)
+        return j.sigma.apply_quasi(refs[0])
 
     raise ProofError(lineno, f"unknown justification {type(j).__name__}")
 
@@ -358,15 +364,16 @@ class ProofBuilder:
         self.theory = theory
         self.logic = logic
         self._lines: list[tuple[QuasiEquation, Justification]] = []
+        self._stated: list[QuasiEquation] = []
         self._index: dict = {}
 
     def add(self, j: Justification) -> int:
-        stated = [q for q, _ in self._lines]
-        quasi = produced_statement(j, stated, self.theory, self.logic, len(stated))
+        quasi = produced_statement(j, self._stated, self.theory, self.logic, len(self._stated))
         key = (quasi.key(), j)
         if key in self._index:
             return self._index[key]
         self._lines.append((quasi, j))
+        self._stated.append(quasi)
         idx = len(self._lines) - 1
         self._index[key] = idx
         return idx
@@ -483,13 +490,7 @@ def normalize(proof: Proof, expand_compat: bool = False) -> Proof:
                     i, "composite hypersubstitution escapes the proof monoid"
                 )
             return [node(j.line, composite)]
-        if isinstance(j, (Subst, Ext)):
-            return [node(j.line, pending)]
-        if isinstance(j, Cut):
-            return [node(j.major, pending), node(j.minor, pending)]
-        if isinstance(j, Mp):
-            return [node(j.fact, pending), node(j.implication, pending)]
-        return []
+        return [node(k, pending) for k in line_refs(j)]
 
     def emit(i: int, pending: HyperSub | None) -> int:
         stack = [(node(i, pending), None)]
@@ -505,11 +506,12 @@ def normalize(proof: Proof, expand_compat: bool = False) -> Proof:
                 stack.append((key, needs))
                 stack.extend((n, None) for n in reversed(missing))
                 continue
-            memo[key] = _emit_line(key[0], j, key[1], [memo[n] for n in needs])
+            memo[key] = _emit_line(j, key[1], [memo[n] for n in needs])
         return memo[node(i, pending)]
 
-    def _emit_line(i, j, pending, done: list[int]) -> int:
-        """Line i under `pending`, given the output lines of its premises."""
+    def _emit_line(j, pending, done: list[int]) -> int:
+        """A line justified by `j` under `pending`, given the output lines
+        of its premises."""
         if isinstance(j, HypSub):
             return done[0]
         s = pending
@@ -517,12 +519,8 @@ def normalize(proof: Proof, expand_compat: bool = False) -> Proof:
         if isinstance(j, Hyp):
             base = builder.add(j)
             return builder.add(HypSub(base, s)) if s else base
-        if isinstance(j, Refl):
-            return builder.add(Refl(m(j.term)))
-        if isinstance(j, Sym):
-            return builder.add(Sym(m(j.lhs), m(j.rhs)))
-        if isinstance(j, Trans):
-            return builder.add(Trans(m(j.a), m(j.b), m(j.c)))
+        if isinstance(j, (Refl, Sym, Trans)):  # every field is a term
+            return builder.add(type(j)(*(m(getattr(j, f.name)) for f in dataclasses.fields(j))))
         if isinstance(j, (Compat, TermCompat)):
             if not s:
                 return builder.add(j)
@@ -533,15 +531,10 @@ def normalize(proof: Proof, expand_compat: bool = False) -> Proof:
                 return _emit_term_compat(builder, pattern, lhs, rhs)
             return builder.add(TermCompat(pattern, lhs, rhs))
         if isinstance(j, Subst):
-            delta = Substitution.of({k: m(t) for k, t in j.delta.bindings})
-            return builder.add(Subst(done[0], delta))
-        if isinstance(j, Cut):
-            return builder.add(Cut(major=done[0], minor=done[1]))
-        if isinstance(j, Mp):
-            return builder.add(Mp(fact=done[0], implication=done[1]))
-        if isinstance(j, Ext):
-            return builder.add(Ext(done[0], j.added.map_terms(m)))
-        raise ProofError(i, f"unknown justification {type(j).__name__}")
+            j = Subst(j.line, Substitution.of({k: m(t) for k, t in j.delta.bindings}))
+        elif isinstance(j, Ext):
+            j = Ext(j.line, j.added.map_terms(m))
+        return builder.add(with_line_refs(j, done))
 
     final = emit(len(proof.lines) - 1, None)
     normal = builder.proof(name=proof.name)
@@ -600,31 +593,17 @@ def from_q_proof(qproof: Proof, theory: Theory, monoid: Monoid) -> Proof:
     detailed = hyperclose_detailed(theory, monoid)
     by_key = {q.key(): (i, sigma) for q, i, sigma in detailed}
     builder = ProofBuilder(theory, Logic.mhq(monoid))
-    mapping: dict[int, int] = {}
+    mapping: list[int] = []  # qproof line -> output line
     for i, (quasi, j) in enumerate(qproof.lines):
         if isinstance(j, Hyp):
             if quasi.key() not in by_key:
                 raise ProofError(i, "hypothesis is not an image of the base theory")
             item_idx, sigma = by_key[quasi.key()]
             base = builder.add(Hyp(item_idx))
-            mapping[i] = builder.add(HypSub(base, sigma))
-            continue
-        mapping[i] = builder.add(_remap(j, mapping, i))
+            mapping.append(builder.add(HypSub(base, sigma)))
+        else:
+            mapping.append(builder.add(with_line_refs(j, [mapping[k] for k in line_refs(j)])))
     return builder.proof(name=qproof.name)
-
-
-def _remap(j: Justification, mapping: dict[int, int], lineno: int) -> Justification:
-    if isinstance(j, Subst):
-        return Subst(mapping[j.line], j.delta)
-    if isinstance(j, Cut):
-        return Cut(major=mapping[j.major], minor=mapping[j.minor])
-    if isinstance(j, Mp):
-        return Mp(fact=mapping[j.fact], implication=mapping[j.implication])
-    if isinstance(j, Ext):
-        return Ext(mapping[j.line], j.added)
-    if isinstance(j, HypSub):
-        return HypSub(mapping[j.line], j.sigma)
-    return j
 
 
 def map_proof(proof: Proof, sigma: HyperSub) -> Proof:

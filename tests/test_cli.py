@@ -216,6 +216,16 @@ def test_monoid_list_and_closure(capsys, fixture_files):
     assert all(entry["result"] is not None for entry in table)
 
 
+def test_monoid_too_large_exits_2(capsys, fixture_files, tmp_path):
+    big = tmp_path / "big.hql"
+    big.write_text("monoid big over BOOL { preset depth(1); }\n")
+    code, out, err = run(capsys, "monoid", "list", *fixture_files, str(big), "--monoid", "big")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "5,529,600" in err and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_parse_error_exits_2(capsys, tmp_path):
     bad = tmp_path / "bad.hql"
     bad.write_text("signature S { f/2 ")
@@ -225,11 +235,14 @@ def test_parse_error_exits_2(capsys, tmp_path):
 
 
 def test_hypercheck_signature_mismatch_exits_2(capsys, fixture_files):
-    # a GRP theory under a GRP monoid on the LAT algebra l2 is no question at all
-    for target in (["--theory", "cancellation"], ["--quasi", "right_cancellation"]):
-        code, out, err = run(
-            capsys, "hypercheck", *fixture_files, "--algebra", "l2", *target, "--monoid", "grp_proj"
-        )
+    # GRP objects applied to the LAT algebra l2 are no question at all
+    for argv in (
+        ["hypercheck", *fixture_files, "--algebra", "l2", "--theory", "cancellation", "--monoid", "grp_proj"],
+        ["hypercheck", *fixture_files, "--algebra", "l2", "--quasi", "right_cancellation", "--monoid", "grp_proj"],
+        ["check", *fixture_files, "--algebra", "l2", "--theory", "cancellation"],
+        ["derive", *fixture_files, "--algebra", "l2", "--sigma", "grp_swap"],
+    ):
+        code, out, err = run(capsys, *argv)
         assert code == 2
         assert out == ""
         assert err.startswith("error: signature mismatch: algebra l2 is over LAT, ")

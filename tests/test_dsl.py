@@ -18,6 +18,8 @@ from hql.dsl import (
 from hql.proofs import Hyp, HypSub, Logic, ProofBuilder, check_proof, hyperclose, normalize
 from hql.terms import App, Var
 
+from proofgen import random_proof
+
 
 def test_all_fixture_kinds_load(ws):
     assert set(ws.signatures) >= {"GRP", "LAT", "BOOL", "FLAT"}
@@ -111,6 +113,18 @@ def test_proof_file_roundtrip(ws):
         assert [line for line, _ in again.lines] == [line for line, _ in proof.lines]
         check_proof(again)
         assert again.logic.kind == proof.logic.kind
+    # random proofs put every rule's text form through the format and the parser
+    rules = set()
+    for theory, monoid in (("cancellation_demo", "grp_pos"), ("lattice_laws", "lat_four")):
+        logic = Logic.mhq(ws.monoid(monoid))
+        for seed in range(30):
+            proof = random_proof(seed, ws.theory(theory), logic, steps=20)
+            text = render_proof_file(proof)
+            again = Workspace().load_text(text).proof(proof.name)
+            assert again.lines == proof.lines
+            assert render_proof_file(again) == text
+            rules |= {type(j) for _, j in proof.lines}
+    assert len(rules) == 11
 
 
 def test_generated_monoid_proof_file_roundtrip(ws):

@@ -166,6 +166,12 @@ def test_depth_slice_counts():
     assert len(Monoid.depth_slice(GRP, 2).elements()) == 38
 
 
+def test_preset_too_large_to_enumerate_is_refused(ws):
+    # and/2 or/2 not/1 zero/0 one/0 at depth 1: 40 * 40 * 24 * 12 * 12 members
+    with pytest.raises(MonoidError, match=r"depth over BOOL has 5,529,600 members"):
+        Monoid.depth_slice(ws.signature("BOOL"), 1).elements()
+
+
 def test_depth_slice_membership_is_depth_bounded():
     m = Monoid.depth_slice(GRP, 1)
     assert m.contains(SWAP)
