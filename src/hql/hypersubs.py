@@ -43,6 +43,9 @@ class MonoidError(ValueError):
 # refused rather than exhausting it.  Far above the 40,804 members of
 # depth(2) over a signature with two binary symbols.
 MAX_PRESET_MEMBERS = 1_000_000
+# Sizes computed before enumeration stop growing here, so an absurd depth
+# costs neither time nor an unprintable number.
+_COUNT_CEILING = 10**30
 
 
 @dataclass(frozen=True)
@@ -141,6 +144,16 @@ def _fundamental_images(sig: Signature, op: str, arity: int, params: tuple) -> l
     ]
 
 
+def _depth_count(sig: Signature, op: str, arity: int, params: tuple) -> int:
+    """len(iter_terms(sig, arity, depth)), layer by layer without building
+    a term, capped at _COUNT_CEILING."""
+    atoms = arity + sum(n == 0 for _, n in sig.ops)
+    count = atoms
+    for _ in range(params[0]):
+        count = min(atoms + sum(count**n for _, n in sig.ops if n), _COUNT_CEILING)
+    return count
+
+
 def _zero_meet_images(sig: Signature, op: str, arity: int, params: tuple) -> list[Term]:
     depth, zero, meet = params
     if op in (zero, meet):
@@ -173,11 +186,14 @@ class Preset:
     number, "constant" and "binary operation" name a symbol of arity 0 and
     2.  A preset that is not `exhaustive` is a depth-bounded slice of an
     infinite monoid, and its first parameter is the image depth bound.
+    `count`, where given, is the length of `images` (up to _COUNT_CEILING)
+    without building them, so an oversized preset is refused first.
     """
 
     params: tuple[str, ...]
     exhaustive: bool
     images: Callable[[Signature, str, int, tuple], list[Term]]
+    count: Callable[[Signature, str, int, tuple], int] | None = None
 
 
 _SYMBOL_ARITY = {"constant": 0, "binary operation": 2}
@@ -186,7 +202,7 @@ _SYMBOL_ARITY = {"constant": 0, "binary operation": 2}
 PRESETS: dict[str, Preset] = {
     "trivial": Preset((), True, lambda sig, op, arity, params: [_identity_image(op, arity)]),
     "fundamental": Preset((), True, _fundamental_images),
-    "depth": Preset(("depth",), False, lambda sig, op, arity, params: iter_terms(sig, arity, params[0])),
+    "depth": Preset(("depth",), False, lambda sig, op, arity, params: iter_terms(sig, arity, params[0]), _depth_count),
     "zero_meet": Preset(("depth", "constant", "binary operation"), False, _zero_meet_images),
     "zero_meet_fundamental": Preset(("constant", "binary operation"), True, _zero_meet_fundamental_images),
 }
@@ -278,7 +294,9 @@ class Monoid:
         return cls.preset(sig, "zero_meet_fundamental", zero, meet, name=name)
 
     def elements(self) -> tuple[HyperSub, ...]:
-        """Canonically ordered members (sorted by the image term order)."""
+        """Members in canonical order: compared image by image in signature
+        order by `term_key` (a variable before an application, variables by
+        index, applications by symbol name, then argument by argument)."""
         return _elements(self)
 
     def contains(self, sigma: HyperSub) -> bool:
@@ -327,22 +345,30 @@ def _elements(m: Monoid) -> tuple[HyperSub, ...]:
                                 )
             frontier = nxt
         return tuple(sorted(closure, key=HyperSub.sort_key))
-    if m.kind not in PRESETS:
+    spec = PRESETS.get(m.kind)
+    if spec is None:
         raise MonoidError(f"unknown monoid kind {m.kind!r}")
+    if spec.count is not None:
+        _refuse_oversized(m, math.prod(spec.count(m.sig, op, n, m.params) for op, n in m.sig.ops))
     choices = []
     for op, arity in m.sig.ops:
-        imgs = PRESETS[m.kind].images(m.sig, op, arity, m.params)
+        imgs = spec.images(m.sig, op, arity, m.params)
         if not imgs:
             raise MonoidError(f"no admissible image for {op!r}")
-        choices.append([(op, t) for t in imgs])
-    count = math.prod(len(c) for c in choices)
+        choices.append([(op, t) for t in sorted(imgs, key=term_key)])
+    _refuse_oversized(m, math.prod(len(c) for c in choices))
+    # Already in sort_key order: each list holds distinct images sorted by
+    # the injective term_key, and product varies the last factor fastest.
+    return tuple(HyperSub(c) for c in itertools.product(*choices))
+
+
+def _refuse_oversized(m: Monoid, count: int) -> None:
     if count > MAX_PRESET_MEMBERS:
+        size = f"{count:,}" if count < _COUNT_CEILING else f"at least {_COUNT_CEILING:,}"
         raise MonoidError(
-            f"preset {m.kind} over {m.sig.name or 'an unnamed signature'} has {count:,} "
+            f"preset {m.kind} over {m.sig.name or 'an unnamed signature'} has {size} "
             f"members, more than the {MAX_PRESET_MEMBERS:,} that can be enumerated"
         )
-    elems = (HyperSub(tuple(c)) for c in itertools.product(*choices))
-    return tuple(sorted(elems, key=HyperSub.sort_key))
 
 
 @lru_cache(maxsize=None)

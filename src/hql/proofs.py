@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Sequence, Union
 
 from .hypersubs import HyperSub, Monoid
-from .semantics import Theory
+from .semantics import Theory, _named, require_one_signature
 from .terms import (
     App,
     Equation,
@@ -336,6 +336,7 @@ def hyperclose_detailed(
 ) -> list[tuple[QuasiEquation, int, HyperSub]]:
     """Every image of a theory item under a monoid member, duplicate-free,
     with its provenance; ordered item-major, members in canonical order."""
+    require_one_signature((_named("theory", theory), theory.sig), (_named("monoid", monoid), monoid.sig))
     seen: set = set()
     out: list[tuple[QuasiEquation, int, HyperSub]] = []
     for i, item in enumerate(theory.items):
@@ -660,6 +661,7 @@ def saturate(
     "items" when `max_items` dropped an item, else "iterations" when the
     rounds ran out before a fixpoint; it is None at a fixpoint.
     """
+    require_one_signature((_named("theory", theory), theory.sig), (_named("monoid", monoid), monoid.sig))
     logic = Logic.mhq(monoid)
     builder = ProofBuilder(theory, logic)
     known: dict = {}

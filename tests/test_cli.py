@@ -1,9 +1,17 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
+from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from hql.cli import main
-from hql.dsl import Workspace
+from hql.dsl import Workspace, tokenize
+from hql.fixtures import fixture_paths
 from hql.proofs import check_proof
 
 
@@ -217,13 +225,17 @@ def test_monoid_list_and_closure(capsys, fixture_files):
 
 
 def test_monoid_too_large_exits_2(capsys, fixture_files, tmp_path):
-    big = tmp_path / "big.hql"
-    big.write_text("monoid big over BOOL { preset depth(1); }\n")
-    code, out, err = run(capsys, "monoid", "list", *fixture_files, str(big), "--monoid", "big")
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: ") and "5,529,600" in err and err.count("\n") == 1
-    assert "Traceback" not in err
+    for text, count in (
+        ("monoid big over BOOL { preset depth(1); }\n", "5,529,600"),
+        ("monoid big over LAT { preset depth(4); }\n", "177,432,635,288,891,176,804"),
+    ):
+        big = tmp_path / "big.hql"
+        big.write_text(text)
+        code, out, err = run(capsys, "monoid", "list", *fixture_files, str(big), "--monoid", "big")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and count in err and err.count("\n") == 1
+        assert "Traceback" not in err
 
 
 def test_parse_error_exits_2(capsys, tmp_path):
@@ -235,18 +247,23 @@ def test_parse_error_exits_2(capsys, tmp_path):
 
 
 def test_hypercheck_signature_mismatch_exits_2(capsys, fixture_files):
-    # GRP objects applied to the LAT algebra l2 are no question at all
-    for argv in (
-        ["hypercheck", *fixture_files, "--algebra", "l2", "--theory", "cancellation", "--monoid", "grp_proj"],
-        ["hypercheck", *fixture_files, "--algebra", "l2", "--quasi", "right_cancellation", "--monoid", "grp_proj"],
-        ["check", *fixture_files, "--algebra", "l2", "--theory", "cancellation"],
-        ["derive", *fixture_files, "--algebra", "l2", "--sigma", "grp_swap"],
+    # GRP objects applied to the LAT algebra l2 (or a GRP theory closed under
+    # the LAT monoid lat_four) are no question at all
+    to_l2 = ("algebra l2 is over LAT, ", " is over GRP\n")
+    to_lat_four = ("theory cancellation_demo is over GRP, ", "monoid lat_four is over LAT\n")
+    for argv, (first, last) in (
+        (["hypercheck", *fixture_files, "--algebra", "l2", "--theory", "cancellation", "--monoid", "grp_proj"], to_l2),
+        (["hypercheck", *fixture_files, "--algebra", "l2", "--quasi", "right_cancellation", "--monoid", "grp_proj"], to_l2),
+        (["check", *fixture_files, "--algebra", "l2", "--theory", "cancellation"], to_l2),
+        (["derive", *fixture_files, "--algebra", "l2", "--sigma", "grp_swap"], to_l2),
+        (["hyperclose", *fixture_files, "--theory", "cancellation_demo", "--monoid", "lat_four"], to_lat_four),
+        (["saturate", *fixture_files, "--theory", "cancellation_demo", "--monoid", "lat_four"], to_lat_four),
     ):
         code, out, err = run(capsys, *argv)
         assert code == 2
         assert out == ""
-        assert err.startswith("error: signature mismatch: algebra l2 is over LAT, ")
-        assert err.endswith(" is over GRP\n") and err.count("\n") == 1
+        assert err.startswith("error: signature mismatch: " + first)
+        assert err.endswith(last) and err.count("\n") == 1
 
 
 def test_deep_term_exits_2_without_traceback(capsys, tmp_path):
@@ -287,3 +304,51 @@ def test_saturate_names_the_item_cap(capsys, fixture_files):
     report = json.loads(out)
     assert report["items"] == 2000
     assert report["truncated"] is True and report["truncated_by"] == "items"
+
+
+# The nine README commands: the words before the fixture files, the words after.
+README_COMMANDS = (
+    (["check"], ["--algebra", "z3sub", "--quasi", "right_cancellation"]),
+    (["hypercheck"], ["--algebra", "z3sub", "--theory", "cancellation", "--monoid", "grp_proj"]),
+    (["derive"], ["--algebra", "l2", "--sigma", "lat_dual", "--out", "dual.hql"]),
+    (["verify-proof"], ["--proof", "swap_after_subst"]),
+    (["normalize-proof"], ["--proof", "swap_after_subst", "--out", "normal.hql"]),
+    (["hyperclose"], ["--theory", "cancellation_demo", "--monoid", "grp_pos", "--out", "closed.hql"]),
+    (
+        ["saturate"],
+        ["--theory", "cancellation_demo", "--monoid", "grp_pos", "--term-depth", "1", "--premises", "1", "--iterations", "8"],
+    ),
+    (["solid-check"], ["--theory", "flat_base", "--witnesses", "f3", "--monoid", "flat_zm"]),
+    (["monoid", "list"], ["--monoid", "grp_proj"]),
+)
+FIXTURE_TOKENS = [
+    [t.text for t in tokenize(Path(path).read_text()) if t.kind != "eof"] for path in fixture_paths()
+]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_exit_code_contract_under_token_mutations(data):
+    # one token of one fixture file deleted or duplicated; tokens re-joined by
+    # single spaces, so no number can grow
+    head, tail = data.draw(st.sampled_from(README_COMMANDS))
+    which = data.draw(st.integers(0, len(FIXTURE_TOKENS) - 1))
+    tokens = list(FIXTURE_TOKENS[which])
+    i = data.draw(st.integers(0, len(tokens) - 1))
+    if data.draw(st.booleans()):
+        del tokens[i]
+    else:
+        tokens.insert(i, tokens[i])
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        files = fixture_paths()
+        files[which] = os.path.join(tmp, "mutated.hql")
+        Path(files[which]).write_text(" ".join(tokens))
+        argv = [*head, *files, *(os.path.join(tmp, w) if w.endswith(".hql") else w for w in tail)]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse exits 2 on bad usage
+                code = exc.code
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

@@ -1,9 +1,10 @@
 import itertools
+import time
 
 import pytest
 from hypothesis import given, settings
 
-from hql.hypersubs import HyperSub, Monoid, MonoidError
+from hql.hypersubs import PRESETS, HyperSub, Monoid, MonoidError
 from hql.terms import App, Equation, QuasiEquation, Signature, TermError, Var, subst_vars
 
 from strategies import GRP, LAT, MIXED, hypersubs, substitutions, terms
@@ -170,6 +171,45 @@ def test_preset_too_large_to_enumerate_is_refused(ws):
     # and/2 or/2 not/1 zero/0 one/0 at depth 1: 40 * 40 * 24 * 12 * 12 members
     with pytest.raises(MonoidError, match=r"depth over BOOL has 5,529,600 members"):
         Monoid.depth_slice(ws.signature("BOOL"), 1).elements()
+    # meet/2 join/2: 81,610 images per symbol at depth 3, about 1.3e10 at
+    # depth 4, counted without building any
+    with pytest.raises(MonoidError, match=r"depth over LAT has 6,660,192,100 members"):
+        Monoid.depth_slice(LAT, 3).elements()
+    start = time.perf_counter()
+    with pytest.raises(MonoidError, match=r"depth over LAT has 177,432,635,288,891,176,804 members"):
+        Monoid.depth_slice(LAT, 4).elements()
+    # past the ceiling the count is not carried exactly; at depth 12 it
+    # would already have thousands of digits
+    with pytest.raises(MonoidError, match=r"depth over LAT has at least 1,000,000,000,000,000,000,000,000,000,000 members"):
+        Monoid.depth_slice(LAT, 40).elements()
+    assert time.perf_counter() - start < 1
+
+
+def _preset_spellings(sig, depths):
+    """Every PRESETS word over `sig` with every choice of its parameters."""
+    choices = {
+        "depth": depths,
+        "constant": [op for op, n in sig.ops if n == 0],
+        "binary operation": [op for op, n in sig.ops if n == 2],
+    }
+    for word, spec in PRESETS.items():
+        for params in itertools.product(*(choices[p] for p in spec.params)):
+            yield word, params
+
+
+def test_members_come_in_canonical_order(ws):
+    # first-in-order witnesses rely on elements() being sorted by sort_key
+    monoids = [
+        Monoid.preset(sig, word, *params)
+        for sig in (GRP, LAT, ws.signature("FLAT"), MIXED)
+        for word, params in _preset_spellings(sig, (0, 1))
+        if (word, params[:1]) != ("zero_meet", (0,))  # no admissible image
+    ]
+    monoids += [Monoid.depth_slice(LAT, 2), ws.monoid("lat_four"), ws.monoid("grp_pos"), ws.monoid("grp_proj")]
+    for m in monoids:
+        elems = m.elements()
+        assert len(set(elems)) == len(elems)
+        assert elems == tuple(sorted(elems, key=HyperSub.sort_key))
 
 
 def test_depth_slice_membership_is_depth_bounded():
