@@ -108,6 +108,9 @@ _VAR_RE = re.compile(r"x(\d+)$")
 
 _PRESET_ALIASES = {"MF": "fundamental"}
 
+# Monoid clause -> the one member list it belongs to; a block takes one.
+_MONOID_CLAUSES = {"elements": "elements", "generators": "generators", "cap": "generators", "preset": "preset"}
+
 # Justification class -> its `.hql` word; the docstring gives each form.
 _RULE_WORDS: dict[type, str] = {
     Hyp: "hyp",
@@ -445,8 +448,15 @@ class _BlockParser(_Reader):
         generator_names: list[str] = []
         cap: int | None = None
         preset: tuple[str, tuple] | None = None
+        first: Token | None = None  # the clause that fixed the member list
         while not self.at("}"):
             word = self.expect_kind("ident")
+            member_list = _MONOID_CLAUSES.get(word.text)
+            if member_list is None:
+                raise self.error(f"unknown monoid clause {word.text!r}", word)
+            if first is not None and _MONOID_CLAUSES[first.text] != member_list:
+                raise self.error(f"{word.text!r} cannot follow {first.text!r}: a monoid takes one member list", word)
+            first = first or word
             if word.text in ("elements", "generators"):
                 target = element_names if word.text == "elements" else generator_names
                 while self.peek().kind == "ident":
@@ -455,15 +465,11 @@ class _BlockParser(_Reader):
                         self.next()
             elif word.text == "cap":
                 cap = int(self.expect_kind("number").text)
-            elif word.text == "preset":
-                preset = self._preset()
             else:
-                raise self.error(f"unknown monoid clause {word.text!r}", word)
+                preset = self._preset()
             if self.at(";"):
                 self.next()
         self.expect("}")
-        if preset is not None and (element_names or generator_names):
-            raise self.error("a preset monoid cannot also list members")
         if preset is not None:
             word, params = preset
             monoid = Monoid.preset(sig, word, *params, name=name)

@@ -144,14 +144,28 @@ def _fundamental_images(sig: Signature, op: str, arity: int, params: tuple) -> l
     ]
 
 
-def _depth_count(sig: Signature, op: str, arity: int, params: tuple) -> int:
-    """len(iter_terms(sig, arity, depth)), layer by layer without building
-    a term, capped at _COUNT_CEILING."""
-    atoms = arity + sum(n == 0 for _, n in sig.ops)
-    count = atoms
-    for _ in range(params[0]):
-        count = min(atoms + sum(count**n for _, n in sig.ops if n), _COUNT_CEILING)
+def _fundamental_count(sig: Signature, op: str, arity: int, params: tuple) -> int:
+    return sum(n**n for _, n in sig.ops if n == arity)
+
+
+def _term_counts(sig: Signature, n_vars: int, depth: int):
+    """len(iter_terms(sig, n_vars, d)) for d = 0, 1, ..., depth, without
+    building a term."""
+    atoms = n_vars + sum(n == 0 for _, n in sig.ops)
+    return itertools.accumulate(range(depth), lambda count, _: atoms + sum(count**n for _, n in sig.ops if n), initial=atoms)
+
+
+def _capped(layer_counts) -> int:
+    """The last of growing layer counts, or _COUNT_CEILING as soon as one
+    reaches it (the later layers are never computed)."""
+    for count in layer_counts:
+        if count >= _COUNT_CEILING:
+            return _COUNT_CEILING
     return count
+
+
+def _depth_count(sig: Signature, op: str, arity: int, params: tuple) -> int:
+    return _capped(_term_counts(sig, arity, params[0]))
 
 
 def _zero_meet_images(sig: Signature, op: str, arity: int, params: tuple) -> list[Term]:
@@ -164,6 +178,25 @@ def _zero_meet_images(sig: Signature, op: str, arity: int, params: tuple) -> lis
         for t in iter_terms(sig, arity, depth)
         if isinstance(t, App) and variables(t) >= needed
     ]
+
+
+def _zero_meet_count(sig: Signature, op: str, arity: int, params: tuple) -> int:
+    depth, zero, meet = params
+    if op in (zero, meet):
+        return 1
+    # terms in which every variable of the arity occurs, by inclusion-
+    # exclusion over the variable subsets, less the lone variable x0
+    layers = zip(*(_term_counts(sig, k, depth) for k in range(arity + 1)))
+    return _capped(
+        sum((-1) ** (arity - k) * math.comb(arity, k) * c for k, c in enumerate(counts)) - (arity == 1)
+        for counts in layers
+    )
+
+
+def _zero_meet_fundamental_count(sig: Signature, op: str, arity: int, params: tuple) -> int:
+    if op in params:
+        return 1
+    return sum(math.factorial(n) for _, n in sig.ops if n == arity)
 
 
 def _zero_meet_fundamental_images(sig: Signature, op: str, arity: int, params: tuple) -> list[Term]:
@@ -186,25 +219,25 @@ class Preset:
     number, "constant" and "binary operation" name a symbol of arity 0 and
     2.  A preset that is not `exhaustive` is a depth-bounded slice of an
     infinite monoid, and its first parameter is the image depth bound.
-    `count`, where given, is the length of `images` (up to _COUNT_CEILING)
-    without building them, so an oversized preset is refused first.
+    `count` is the length of `images` (up to _COUNT_CEILING) without
+    building them, so an oversized preset is refused before any image is.
     """
 
     params: tuple[str, ...]
     exhaustive: bool
     images: Callable[[Signature, str, int, tuple], list[Term]]
-    count: Callable[[Signature, str, int, tuple], int] | None = None
+    count: Callable[[Signature, str, int, tuple], int]
 
 
 _SYMBOL_ARITY = {"constant": 0, "binary operation": 2}
 
 # Keyed by the `.hql` preset word; the Monoid docstring says what each is.
 PRESETS: dict[str, Preset] = {
-    "trivial": Preset((), True, lambda sig, op, arity, params: [_identity_image(op, arity)]),
-    "fundamental": Preset((), True, _fundamental_images),
+    "trivial": Preset((), True, lambda sig, op, arity, params: [_identity_image(op, arity)], lambda *_: 1),
+    "fundamental": Preset((), True, _fundamental_images, _fundamental_count),
     "depth": Preset(("depth",), False, lambda sig, op, arity, params: iter_terms(sig, arity, params[0]), _depth_count),
-    "zero_meet": Preset(("depth", "constant", "binary operation"), False, _zero_meet_images),
-    "zero_meet_fundamental": Preset(("constant", "binary operation"), True, _zero_meet_fundamental_images),
+    "zero_meet": Preset(("depth", "constant", "binary operation"), False, _zero_meet_images, _zero_meet_count),
+    "zero_meet_fundamental": Preset(("constant", "binary operation"), True, _zero_meet_fundamental_images, _zero_meet_fundamental_count),
 }
 
 
@@ -348,27 +381,22 @@ def _elements(m: Monoid) -> tuple[HyperSub, ...]:
     spec = PRESETS.get(m.kind)
     if spec is None:
         raise MonoidError(f"unknown monoid kind {m.kind!r}")
-    if spec.count is not None:
-        _refuse_oversized(m, math.prod(spec.count(m.sig, op, n, m.params) for op, n in m.sig.ops))
-    choices = []
-    for op, arity in m.sig.ops:
-        imgs = spec.images(m.sig, op, arity, m.params)
-        if not imgs:
-            raise MonoidError(f"no admissible image for {op!r}")
-        choices.append([(op, t) for t in sorted(imgs, key=term_key)])
-    _refuse_oversized(m, math.prod(len(c) for c in choices))
-    # Already in sort_key order: each list holds distinct images sorted by
-    # the injective term_key, and product varies the last factor fastest.
-    return tuple(HyperSub(c) for c in itertools.product(*choices))
-
-
-def _refuse_oversized(m: Monoid, count: int) -> None:
+    count = math.prod(spec.count(m.sig, op, n, m.params) for op, n in m.sig.ops)
     if count > MAX_PRESET_MEMBERS:
         size = f"{count:,}" if count < _COUNT_CEILING else f"at least {_COUNT_CEILING:,}"
         raise MonoidError(
             f"preset {m.kind} over {m.sig.name or 'an unnamed signature'} has {size} "
             f"members, more than the {MAX_PRESET_MEMBERS:,} that can be enumerated"
         )
+    choices = []
+    for op, arity in m.sig.ops:
+        imgs = spec.images(m.sig, op, arity, m.params)
+        if not imgs:
+            raise MonoidError(f"no admissible image for {op!r}")
+        choices.append([(op, t) for t in sorted(imgs, key=term_key)])
+    # Already in sort_key order: each list holds distinct images sorted by
+    # the injective term_key, and product varies the last factor fastest.
+    return tuple(HyperSub(c) for c in itertools.product(*choices))
 
 
 @lru_cache(maxsize=None)

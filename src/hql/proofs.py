@@ -656,72 +656,50 @@ def saturate(
     to keep the instance space tractable), and variable substitutions are
     variable-to-variable over each item's own variables.  Rounds combine
     only against the previous round's new items, so a fixpoint means no rule
-    produces anything new anywhere.  Every emitted item carries a checkable
-    proof line.  `truncated_by` names the cap that cut growth short:
-    "items" when `max_items` dropped an item, else "iterations" when the
-    rounds ran out before a fixpoint; it is None at a fixpoint.
+    produces anything new anywhere.  Each candidate is a justification
+    alone; its statement comes from `produced_statement`, the rules' one
+    description, so every emitted item carries a checkable proof line.
+    Generation stops once `max_items` refuses a candidate.  `truncated_by`
+    names the cap that cut growth short: "items" when `max_items` dropped an
+    item, else "iterations" when the rounds ran out before a fixpoint; it is
+    None at a fixpoint.
     """
     require_one_signature((_named("theory", theory), theory.sig), (_named("monoid", monoid), monoid.sig))
     logic = Logic.mhq(monoid)
     builder = ProofBuilder(theory, logic)
-    known: dict = {}
-    order: list[QuasiEquation] = []
-    capped = False
+    known: set = set()  # the keys of the stated lines
+    order: list[QuasiEquation] = []  # the builder's stated lines; item i is line i
+    truncated_by = None
 
-    def admit(quasi: QuasiEquation, make, force: bool = False) -> bool:
-        nonlocal capped
-        if quasi.key() in known:
-            return False
-        if not force:
-            if len(quasi.premises) > premise_count:
-                return False
-            terms = [
-                t for p in (*quasi.premises, quasi.conclusion) for t in (p.lhs, p.rhs)
-            ]
-            if any(term_depth(t) > term_depth_cap for t in terms):
-                return False
-            if len(order) >= max_items:
-                capped = True
-                return False
-        line = builder.add(make())
-        known[quasi.key()] = line
+    def statement(j: Justification) -> QuasiEquation:
+        return produced_statement(j, order, theory, logic, len(order))
+
+    def admit(j: Justification, quasi: QuasiEquation) -> None:
+        builder.add(j)
+        known.add(quasi.key())
         order.append(quasi)
-        return True
 
-    frontier: list[QuasiEquation] = []
-    for k, item in enumerate(theory.items):
-        if admit(item, lambda k=k: Hyp(k), force=True):
-            frontier.append(item)
+    for k in range(len(theory.items)):
+        quasi = statement(Hyp(k))
+        if quasi.key() not in known:  # the hypotheses pass every cap
+            admit(Hyp(k), quasi)
 
     axiom_universe = iter_terms(theory.sig, 2, min(term_depth_cap, 1))
     sigmas = monoid.elements()
 
-    def emit_axioms(consider) -> None:
+    def axioms():
         for t in axiom_universe:
-            consider(QuasiEquation((Equation(t, t),), Equation(t, t)), lambda t=t: Refl(t))
+            yield Refl(t)
         for t, s in itertools.product(axiom_universe, repeat=2):
-            consider(
-                QuasiEquation((Equation(t, s),), Equation(s, t)),
-                lambda t=t, s=s: Sym(t, s),
-            )
+            yield Sym(t, s)
         if premise_count >= 2:
             for t, s, r in itertools.product(axiom_universe, repeat=3):
-                consider(
-                    QuasiEquation((Equation(t, s), Equation(s, r)), Equation(t, r)),
-                    lambda t=t, s=s, r=r: Trans(t, s, r),
-                )
+                yield Trans(t, s, r)
         for op, arity in theory.sig.ops:
-            if arity > premise_count:
-                continue
-            for lhs in itertools.product(axiom_universe, repeat=arity):
-                for rhs in itertools.product(axiom_universe, repeat=arity):
-                    consider(
-                        QuasiEquation(
-                            tuple(Equation(a, b) for a, b in zip(lhs, rhs)),
-                            Equation(App(op, lhs), App(op, rhs)),
-                        ),
-                        lambda op=op, lhs=lhs, rhs=rhs: Compat(op, lhs, rhs),
-                    )
+            if arity <= premise_count:
+                for lhs in itertools.product(axiom_universe, repeat=arity):
+                    for rhs in itertools.product(axiom_universe, repeat=arity):
+                        yield Compat(op, lhs, rhs)
 
     all_identities: list[Equation] = []
     seen_eq: set = set()
@@ -735,72 +713,60 @@ def saturate(
                     fresh.append(eq)
         return fresh
 
-    def cut_pair(minor: QuasiEquation, major: QuasiEquation, consider) -> None:
-        alpha = minor.conclusion
-        if alpha in major.premises:
-            kept = tuple(p for p in major.premises if p != alpha)
-            consider(
-                QuasiEquation(minor.premises + kept, major.conclusion),
-                lambda major=major, minor=minor: Cut(
-                    major=known[major.key()], minor=known[minor.key()]
-                ),
-            )
+    def candidates():
+        """Every round's rule applications, in generation order.  Lazy, so a
+        round reads the lines admitted before it, round 0's axioms included;
+        items are named by their line numbers."""
+        nonlocal truncated_by
+        frontier = range(len(order))  # the hypotheses
+        for round_no in range(iterations):
+            start = len(order)
+            if round_no == 0:
+                yield from axioms()
+            current = range(len(order))
+            older = [i for i in current if i not in frontier]
+            new_identities = harvest(order[i] for i in frontier)
 
-    truncated_by = None
-    for round_no in range(iterations):
-        new: list[QuasiEquation] = []
+            for base in frontier:
+                for sigma in sigmas:
+                    yield HypSub(base, sigma)
+                vs = sorted(order[base].variables())
+                if 0 < len(vs) <= 4:
+                    for image in itertools.product(vs, repeat=len(vs)):
+                        delta = Substitution.of({v: Var(w) for v, w in zip(vs, image)})
+                        if delta.bindings:
+                            yield Subst(base, delta)
+                for eq in itertools.chain(all_identities, new_identities):
+                    yield Ext(base, eq)
+            for base in older:
+                for eq in new_identities:
+                    yield Ext(base, eq)
 
-        def consider(quasi: QuasiEquation, make) -> None:
-            if admit(quasi, make):
-                new.append(quasi)
+            pairs = itertools.chain(itertools.product(frontier, current), itertools.product(older, frontier))
+            for minor, major in pairs:
+                if order[minor].conclusion in order[major].premises:
+                    yield Cut(major=major, minor=minor)
 
-        if round_no == 0:
-            emit_axioms(consider)
-
-        current = list(order)
-        front_keys = {f.key() for f in frontier}
-        older = [q for q in current if q.key() not in front_keys]
-        new_identities = harvest(frontier)
-
-        for q in frontier:
-            base = known[q.key()]
-            for sigma in sigmas:
-                consider(sigma.apply_quasi(q), lambda base=base, sigma=sigma: HypSub(base, sigma))
-            vs = sorted(q.variables())
-            if 0 < len(vs) <= 4:
-                for image in itertools.product(vs, repeat=len(vs)):
-                    delta = Substitution.of({v: Var(w) for v, w in zip(vs, image)})
-                    if not delta.bindings:
-                        continue
-                    consider(q.map_terms(delta.apply), lambda base=base, delta=delta: Subst(base, delta))
-            for eq in itertools.chain(all_identities, new_identities):
-                consider(
-                    QuasiEquation((eq,) + q.premises, q.conclusion),
-                    lambda base=base, eq=eq: Ext(base, eq),
-                )
-        for q in older:
-            base = known[q.key()]
-            for eq in new_identities:
-                consider(
-                    QuasiEquation((eq,) + q.premises, q.conclusion),
-                    lambda base=base, eq=eq: Ext(base, eq),
-                )
-
-        for minor in frontier:
-            for major in current:
-                cut_pair(minor, major, consider)
-        for minor in older:
-            for major in frontier:
-                cut_pair(minor, major, consider)
-
-        all_identities.extend(new_identities)
-        if not new:
-            break
-        frontier = new
-    else:
+            all_identities.extend(new_identities)
+            frontier = range(start, len(order))
+            if not frontier:
+                return
         truncated_by = "iterations"
-    if capped:
-        truncated_by = "items"
+
+    for j in candidates():
+        quasi = statement(j)
+        if quasi.key() in known or len(quasi.premises) > premise_count:
+            continue
+        terms = [t for p in (*quasi.premises, quasi.conclusion) for t in (p.lhs, p.rhs)]
+        if any(term_depth(t) > term_depth_cap for t in terms):
+            continue
+        if len(order) >= max_items:
+            # `order` never shrinks, so every later candidate would be
+            # refused here or earlier: stopping now leaves the items, their
+            # order and the proof lines exactly as running on would.
+            truncated_by = "items"
+            break
+        admit(j, quasi)
 
     result_theory = Theory(theory.sig, tuple(order), name=theory.name)
     return SaturationResult(result_theory, builder.proof(), truncated_by)

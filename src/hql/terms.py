@@ -33,6 +33,8 @@ class Signature:
             if arity < 0:
                 raise TermError(f"operation {op!r} has negative arity")
             seen.add(op)
+        # a lookup table, not a field: equality, hash and repr stay on `ops`
+        object.__setattr__(self, "_arity", dict(self.ops))
 
     @classmethod
     def of(cls, _name: str = "", **ops: int) -> "Signature":
@@ -43,13 +45,12 @@ class Signature:
         return tuple(op for op, _ in self.ops)
 
     def has(self, op: str) -> bool:
-        return any(op == o for o, _ in self.ops)
+        return op in self._arity
 
     def arity(self, op: str) -> int:
-        for o, n in self.ops:
-            if o == op:
-                return n
-        raise TermError(f"unknown operation symbol {op!r}")
+        if op not in self._arity:
+            raise TermError(f"unknown operation symbol {op!r}")
+        return self._arity[op]
 
     def max_arity(self) -> int:
         return max(n for _, n in self.ops)
@@ -58,8 +59,6 @@ class Signature:
         """Raise TermError unless `term` is well formed over this signature."""
         if isinstance(term, Var):
             return
-        if not self.has(term.op):
-            raise TermError(f"unknown operation symbol {term.op!r}")
         n = self.arity(term.op)
         if len(term.args) != n:
             raise TermError(

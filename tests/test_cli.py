@@ -228,6 +228,7 @@ def test_monoid_too_large_exits_2(capsys, fixture_files, tmp_path):
     for text, count in (
         ("monoid big over BOOL { preset depth(1); }\n", "5,529,600"),
         ("monoid big over LAT { preset depth(4); }\n", "177,432,635,288,891,176,804"),
+        ("monoid big over FLAT { preset zero_meet(3, zero, meet); }\n", "1,403,956"),
     ):
         big = tmp_path / "big.hql"
         big.write_text(text)
@@ -236,6 +237,15 @@ def test_monoid_too_large_exits_2(capsys, fixture_files, tmp_path):
         assert out == ""
         assert err.startswith("error: ") and count in err and err.count("\n") == 1
         assert "Traceback" not in err
+
+
+def test_monoid_with_two_member_lists_exits_2(capsys, fixture_files, tmp_path):
+    mm = tmp_path / "mm.hql"
+    mm.write_text("monoid mm over GRP { elements grp_id; generators grp_swap; }\n")
+    code, out, err = run(capsys, "monoid", "list", *fixture_files, str(mm), "--monoid", "mm")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_parse_error_exits_2(capsys, tmp_path):

@@ -149,6 +149,21 @@ def test_normalized_proof_roundtrip(ws):
     assert again.conclusion().set_eq(normal.conclusion())
 
 
+def test_monoid_block_takes_one_member_list(fixture_files):
+    ws2 = Workspace.load([fixture_files[0]])  # GRP and its hypersubs
+    for block in (
+        "elements grp_id; generators grp_swap;",
+        "elements grp_id; cap 8;",
+        "preset trivial; cap 8;",
+    ):
+        with pytest.raises(ParseError) as err:
+            ws2.load_text(f"monoid mm over GRP {{ {block} }}")
+        second = block.split("; ")[1]
+        assert err.value.col == len("monoid mm over GRP { ") + block.index(second) + 1
+    ws2.load_text("monoid gp over GRP { generators grp_left, grp_right; cap 8; }")
+    assert ws2.monoid("gp").elements() == ws2.monoid("grp_proj").elements()
+
+
 def test_duplicate_definition_rejected(ws, fixture_files):
     with pytest.raises(ResolveError):
         Workspace.load([fixture_files[0], fixture_files[0]])

@@ -183,6 +183,14 @@ def test_preset_too_large_to_enumerate_is_refused(ws):
     with pytest.raises(MonoidError, match=r"depth over LAT has at least 1,000,000,000,000,000,000,000,000,000,000 members"):
         Monoid.depth_slice(LAT, 40).elements()
     assert time.perf_counter() - start < 1
+    # zero_meet is counted too, before any image is built: f/2 has 1,403,956
+    # images at depth 3
+    flat = ws.signature("FLAT")
+    for depth, count in ((3, "1,403,956"), (40, "at least 1,000,000,000,000,000,000,000,000,000,000")):
+        start = time.perf_counter()
+        with pytest.raises(MonoidError, match=rf"zero_meet over FLAT has {count} members, more than the 1,000,000"):
+            Monoid.zero_meet(flat, depth, "zero", "meet").elements()
+        assert time.perf_counter() - start < 1
 
 
 def _preset_spellings(sig, depths):
@@ -195,6 +203,15 @@ def _preset_spellings(sig, depths):
     for word, spec in PRESETS.items():
         for params in itertools.product(*(choices[p] for p in spec.params)):
             yield word, params
+
+
+def test_preset_count_is_the_image_count(ws):
+    # the size check before enumeration must count exactly what is built
+    for sig in (GRP, LAT, ws.signature("FLAT"), MIXED):
+        for word, params in _preset_spellings(sig, (0, 1, 2)):
+            spec = PRESETS[word]
+            for op, n in sig.ops:
+                assert spec.count(sig, op, n, params) == len(spec.images(sig, op, n, params)), (sig.name, word, params, op)
 
 
 def test_members_come_in_canonical_order(ws):

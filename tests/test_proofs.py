@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from hql.hypersubs import HyperSub, Monoid
@@ -461,6 +463,34 @@ def test_saturate_names_the_item_cap():
     result = saturate(THEORY, POS, term_depth_cap=1, premise_count=3, iterations=1, max_items=200)
     assert len(result.theory.items) == 200
     assert result.truncated and result.truncated_by == "items"
+
+
+# (monoid, term depth, premises, iterations, max_items) -> item count,
+# truncated_by, sha256 of the rendered proof and theory files; the last row
+# is the CLI defaults
+PINNED_SATURATIONS = [
+    (("grp_pos", 1, 1, 8, 2000), 153, None, "b7842b6ac7ca39ec05becfd69d17026859059faf3b93496d2513885d8427d589"),
+    (("grp_pos", 1, 2, 2, 2000), 2000, "items", "40425f177c414b87eef886caaf130ee7372379ebf0dc1469379dbe56289eac42"),
+    (("grp_pos", 1, 2, 8, 300), 300, "items", "e9040e6cb8e3511509368688b7f80c53eae859029c42dbdeace76a1836266a0a"),
+    (("grp_pos", 2, 2, 2, 500), 500, "items", "99e999a1cf42dd79ca17a198dfad9b76b1d39b01c4df1aa23d89fe0b928a43ff"),
+    (("grp_proj", 1, 1, 8, 2000), 216, None, "b5a8db73788ca0c268ac60811efcffdd360742d7314858cc484023f29e9d0acc"),
+    (("grp_proj", 1, 3, 1, 2000), 816, "iterations", "9287ffce63e17e140e788ead960b59a3eee4f6fc6678bf94d2f355ad09b84988"),
+    (("grp_proj", 1, 1, 2, 50), 50, "items", "1ab7b8d74064c05d7d40789952790950d8a4079c7f45d81754748d2ef5f46fc5"),
+    (("grp_pos", 3, 4, 3, 2000), 2000, "items", "78e40d85f3b4c53dde9155207ea5eeede7ba7f9c44da0785ffb720bdc2d82c6d"),
+]
+
+
+def test_saturate_output_is_pinned(ws):
+    # items, their order, the proof lines and the stopping cap, byte for byte
+    from hql.dsl import render_proof_file, render_theory_file
+
+    theory = ws.theory("cancellation_demo")
+    for (monoid, *caps), count, truncated_by, digest in PINNED_SATURATIONS:
+        result = saturate(theory, ws.monoid(monoid), *caps)
+        text = render_proof_file(result.proof) + render_theory_file(result.theory)
+        assert (len(result.theory.items), result.truncated_by) == (count, truncated_by), (monoid, caps)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, (monoid, caps)
+        check_proof(result.proof)
 
 
 def test_saturate_monotone_in_caps():
