@@ -17,6 +17,9 @@ from typing import Iterator, Mapping, Sequence
 from .hypersubs import HyperSub
 from .terms import Signature, Term, Var
 
+# Most assignments evaluated together by one `FiniteAlgebra.values` call.
+BLOCK = 4096
+
 
 class AlgebraError(ValueError):
     """Raised for malformed algebras or invalid evaluations."""
@@ -77,27 +80,41 @@ class FiniteAlgebra:
                 return t
         raise AlgebraError(f"no table for operation {op!r}")
 
-    def op_value(self, op: str, args: Sequence[int]) -> int:
-        pos = 0
-        for a in args:
-            pos = pos * self.size + a
-        return self.table(op)[pos]
+    def values(self, terms: Sequence[Term], columns: Mapping[int, Sequence[int]]) -> list[list[int]]:
+        """Each term's value at every position, where `columns` maps each
+        variable to its values, one per position.  Bottom-up with an
+        explicit stack; a node shared between terms is evaluated once (keyed
+        by id: `terms` keeps every node alive, and hashing a term recurses)."""
+        size, n = self.size, len(next(iter(columns.values()), [0]))
+        memo: dict[int, list[int]] = {}
+        stack = list(terms)
+        while stack:
+            t = stack.pop()
+            if id(t) in memo:
+                continue
+            if isinstance(t, Var):
+                if t.index not in columns:
+                    raise AlgebraError(f"unassigned variable x{t.index}")
+                memo[id(t)] = list(columns[t.index])
+                continue
+            pending = [a for a in t.args if id(a) not in memo]
+            if pending:
+                stack += [t, *pending]
+                continue
+            pos = memo[id(t.args[0])] if t.args else [0] * n
+            for a in t.args[1:]:
+                pos = [p * size + q for p, q in zip(pos, memo[id(a)])]
+            memo[id(t)] = list(map(self.table(t.op).__getitem__, pos))
+        return [memo[id(t)] for t in terms]
 
     def eval(self, term: Term, env: Mapping[int, int]) -> int:
-        """Bottom-up evaluation of `term` under the assignment `env`."""
-        if isinstance(term, Var):
-            if term.index not in env:
-                raise AlgebraError(f"unassigned variable x{term.index}")
-            return env[term.index]
-        return self.op_value(term.op, [self.eval(a, env) for a in term.args])
+        """The value of `term` under the assignment `env`."""
+        return self.values([term], {v: [a] for v, a in env.items()})[0][0]
 
     def term_table(self, term: Term, arity: int) -> tuple[int, ...]:
         """The `arity`-ary term operation of `term` (over x0..x_{arity-1}),
         as a flat row-major table."""
-        return tuple(
-            self.eval(term, dict(enumerate(tup)))
-            for tup in itertools.product(range(self.size), repeat=arity)
-        )
+        return tuple(v for c in self.blocks(range(arity)) for v in self.values([term], c)[0])
 
     def derived(self, sigma: HyperSub) -> "FiniteAlgebra":
         """Reinterpret every operation as the term operation of its image."""
@@ -112,6 +129,19 @@ class FiniteAlgebra:
         vs = sorted(variables)
         for values in itertools.product(range(self.size), repeat=len(vs)):
             yield dict(zip(vs, values))
+
+    def blocks(self, variables: Sequence[int]) -> Iterator[dict[int, list[int]]]:
+        """Columns for `values` that together cover every assignment to the
+        given variables, in the order of `assignments`, at most BLOCK per
+        block: memory stays flat and a refutation stops after the block of
+        its witness.  The trailing variables vary inside a block."""
+        vs, inner = sorted(variables), 0
+        while inner < len(vs) and self.size ** (inner + 1) <= BLOCK:
+            inner += 1
+        split, rows = len(vs) - inner, itertools.product(range(self.size), repeat=inner)
+        trailing = dict(zip(vs[split:], map(list, zip(*rows))))
+        for fixed in self.assignments(vs[:split]):
+            yield {**{v: [a] * self.size**inner for v, a in fixed.items()}, **trailing}
 
 
 def all_algebras(sig: Signature, size: int) -> Iterator[FiniteAlgebra]:

@@ -39,7 +39,7 @@ from dataclasses import dataclass, fields
 from typing import Sequence
 
 from .algebras import FiniteAlgebra
-from .hypersubs import PRESETS, HyperSub, Monoid
+from .hypersubs import GENERATED_CAP, PRESETS, HyperSub, Monoid
 from .proofs import (
     LINE_REFS,
     Compat,
@@ -446,7 +446,7 @@ class _BlockParser(_Reader):
         self.expect("{")
         element_names: list[str] = []
         generator_names: list[str] = []
-        cap: int | None = None
+        cap = GENERATED_CAP
         preset: tuple[str, tuple] | None = None
         first: Token | None = None  # the clause that fixed the member list
         while not self.at("}"):
@@ -478,7 +478,7 @@ class _BlockParser(_Reader):
             monoid = Monoid.explicit(sig, sigmas, name=name)
         elif generator_names:
             sigmas = [self._sigma_by_name(n, sig) for n in generator_names]
-            monoid = Monoid.generated(sig, sigmas, cap=cap or 64, name=name)
+            monoid = Monoid.generated(sig, sigmas, cap=cap, name=name)
         else:
             raise self.error("monoid needs elements, generators or a preset")
         self.ws._define(self.ws.monoids, "monoid", name, monoid)
@@ -758,7 +758,7 @@ def format_monoid(monoid: Monoid, namer: SigmaNamer | None = None) -> str:
         clause = f"elements {names};"
     elif monoid.kind == "generated":
         names = ", ".join(namer.get(s) for s in monoid.members)
-        clause = f"generators {names}; cap {monoid.cap or 64};"
+        clause = f"generators {names}; cap {monoid.cap};"
     else:
         args = f"({', '.join(map(str, monoid.params))})" if monoid.params else ""
         clause = f"preset {monoid.kind}{args};"

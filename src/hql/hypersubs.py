@@ -46,6 +46,8 @@ MAX_PRESET_MEMBERS = 1_000_000
 # Sizes computed before enumeration stop growing here, so an absurd depth
 # costs neither time nor an unprintable number.
 _COUNT_CEILING = 10**30
+# The most members a generated monoid may have when its text names no cap.
+GENERATED_CAP = 64
 
 
 @dataclass(frozen=True)
@@ -288,7 +290,7 @@ class Monoid:
         return cls(sig, "explicit", members=elems, name=name)
 
     @classmethod
-    def generated(cls, sig: Signature, generators: Iterable[HyperSub], cap: int = 64, name: str = "") -> "Monoid":
+    def generated(cls, sig: Signature, generators: Iterable[HyperSub], cap: int = GENERATED_CAP, name: str = "") -> "Monoid":
         return cls(sig, "generated", members=tuple(generators), cap=cap, name=name)
 
     @classmethod
@@ -358,24 +360,19 @@ def _elements(m: Monoid) -> tuple[HyperSub, ...]:
     if m.kind == "explicit":
         return m.members  # validated and sorted at construction
     if m.kind == "generated":
-        cap = m.cap if m.cap is not None else 64
         ident = HyperSub.identity(m.sig)
-        closure = {ident}
+        closure = {ident, *m.members}
         frontier = [ident, *m.members]
-        for g in m.members:
-            closure.add(g)
         while frontier:
             nxt = []
             for a in frontier:
+                if len(closure) > m.cap:  # the identity and generators count too
+                    raise MonoidError(f"generated closure exceeds cap {m.cap}")
                 for b in list(closure):
                     for c in (a.compose(b), b.compose(a)):
                         if c not in closure:
                             closure.add(c)
                             nxt.append(c)
-                            if len(closure) > cap:
-                                raise MonoidError(
-                                    f"generated closure exceeds cap {cap}"
-                                )
             frontier = nxt
         return tuple(sorted(closure, key=HyperSub.sort_key))
     spec = PRESETS.get(m.kind)

@@ -42,6 +42,7 @@ from .terms import (
     Var,
     as_quasi,
     iter_terms_canonical,
+    subst_vars,
     variables,
 )
 
@@ -115,18 +116,17 @@ CheckResult = Union[bool, CounterExample]
 
 
 def satisfies(algebra: FiniteAlgebra, item: Union[Equation, QuasiEquation]) -> CheckResult:
-    """Classical satisfaction, exhaustive over all assignments."""
+    """Classical satisfaction, exhaustive over all assignments, evaluated
+    one block of assignments at a time; the first refuting one is the witness."""
     quasi = as_quasi(item)
-    for env in algebra.assignments(sorted(quasi.variables())):
-        if not all(
-            algebra.eval(p.lhs, env) == algebra.eval(p.rhs, env)
-            for p in quasi.premises
-        ):
-            continue
-        lhs = algebra.eval(quasi.conclusion.lhs, env)
-        rhs = algebra.eval(quasi.conclusion.rhs, env)
-        if lhs != rhs:
-            return CounterExample(quasi.conclusion, env, lhs, rhs)
+    vs = sorted(quasi.variables())
+    sides = [t for eq in (*quasi.premises, quasi.conclusion) for t in (eq.lhs, eq.rhs)]
+    for columns in algebra.blocks(vs):
+        *premises, lhs, rhs = algebra.values(sides, columns)
+        pairs = list(zip(premises[::2], premises[1::2]))
+        for k, (left, right) in enumerate(zip(lhs, rhs)):
+            if left != right and all(p[k] == q[k] for p, q in pairs):
+                return CounterExample(quasi.conclusion, {v: columns[v][k] for v in vs}, left, right)
     return True
 
 
@@ -357,12 +357,12 @@ def is_flat(algebra: FiniteAlgebra, meet: str, zero: str) -> CheckResult:
     Only the distinct-pair condition is checked here; full flatness is this
     plus `is_zero_semilattice`.
     """
-    zero_idx = algebra.op_value(zero, ())
+    zero_idx = algebra.table(zero)[0]
     for a in range(algebra.size):
         for b in range(algebra.size):
             if a == b:
                 continue
-            got = algebra.op_value(meet, (a, b))
+            got = algebra.table(meet)[a * algebra.size + b]
             if got != zero_idx:
                 return CounterExample(
                     Equation(App(meet, (Var(0), Var(1))), App(zero)),
@@ -394,28 +394,16 @@ def check_absorption(
         raise AlgebraError(
             f"not a zero-semilattice algebra (fails {pre.label})"
         )
-    zero_idx = algebra.op_value(zero, ())
+    zero_idx = algebra.table(zero)[0]
     max_vars = algebra.sig.max_arity() ** max(depth_max, 1)
     for term in iter_terms_canonical(algebra.sig, depth_max, max_vars):
-        if isinstance(term, Var):
-            continue
-        vs = sorted(variables(term))
-        if not vs:
-            continue
-        for plugged in vs:
-            rest = [v for v in vs if v != plugged]
-            for env in algebra.assignments(rest):
-                env = dict(env)
-                env[plugged] = zero_idx
-                got = algebra.eval(term, env)
-                if got != zero_idx:
-                    return CounterExample(
-                        Equation(term, App(zero)),
-                        env,
-                        got,
-                        zero_idx,
-                        label=f"zero-absorption x{plugged}",
-                    )
+        for plugged in sorted(variables(term)):
+            result = satisfies(algebra, Equation(subst_vars(term, {plugged: App(zero)}), App(zero)))
+            if not result:
+                result.assignment[plugged] = zero_idx
+                result.failed = Equation(term, App(zero))
+                result.label = f"zero-absorption x{plugged}"
+                return result
     return True
 
 

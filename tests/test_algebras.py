@@ -48,6 +48,14 @@ def test_eval_unassigned_variable(ws):
         ws.algebra("l2").eval(x0, {})
 
 
+def test_term_table_of_deeply_nested_term(ws):
+    l2 = ws.algebra("l2")
+    t = x0
+    for _ in range(3000):
+        t = App("meet", (t, x1))
+    assert l2.term_table(t, 2) == l2.table("meet")
+
+
 def test_derived_under_identity_is_table_identical(ws):
     l2 = ws.algebra("l2")
     assert l2.derived(HyperSub.identity(LAT)).tables == l2.tables

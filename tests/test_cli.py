@@ -239,6 +239,19 @@ def test_monoid_too_large_exits_2(capsys, fixture_files, tmp_path):
         assert "Traceback" not in err
 
 
+def test_generated_monoid_cap_counts_every_member(capsys, fixture_files, tmp_path):
+    # grp_left and grp_right generate 3 members, the identity among them
+    for cap, want in ((0, 2), (1, 2), (3, 0)):
+        m1 = tmp_path / "m1.hql"
+        m1.write_text(f"monoid m1 over GRP {{ generators grp_left, grp_right; cap {cap}; }}\n")
+        code, out, err = run(capsys, "monoid", "list", *fixture_files, str(m1), "--monoid", "m1")
+        assert code == want
+        if want == 2:
+            assert out == "" and err == f"error: generated closure exceeds cap {cap}\n"
+        else:
+            assert "exhaustive over 3 element(s)" in out
+
+
 def test_monoid_with_two_member_lists_exits_2(capsys, fixture_files, tmp_path):
     mm = tmp_path / "mm.hql"
     mm.write_text("monoid mm over GRP { elements grp_id; generators grp_swap; }\n")

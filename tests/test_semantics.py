@@ -24,6 +24,7 @@ from hql.semantics import (
 )
 from hql.terms import App, Equation, QuasiEquation, Signature, Var, variables
 
+import _eval_oracle
 import _hyper_oracle as oracle
 from strategies import GRP, LAT, MIXED, quasis
 
@@ -31,13 +32,14 @@ x0, x1, x2 = Var(0), Var(1), Var(2)
 
 
 def replay(algebra, quasi, cex):
-    """Counterexamples must reproduce: premises hold, conclusion split."""
+    """Counterexamples must reproduce, under the recursive reference
+    evaluator: premises hold, conclusion split."""
     target = cex.sigma.apply_quasi(quasi) if cex.sigma is not None else quasi
     env = cex.assignment
     for p in target.premises:
-        assert algebra.eval(p.lhs, env) == algebra.eval(p.rhs, env)
-    lhs = algebra.eval(target.conclusion.lhs, env)
-    rhs = algebra.eval(target.conclusion.rhs, env)
+        assert _eval_oracle.eval(algebra, p.lhs, env) == _eval_oracle.eval(algebra, p.rhs, env)
+    lhs = _eval_oracle.eval(algebra, target.conclusion.lhs, env)
+    rhs = _eval_oracle.eval(algebra, target.conclusion.rhs, env)
     assert (lhs, rhs) == (cex.lhs_value, cex.rhs_value)
     assert lhs != rhs
 
@@ -243,8 +245,8 @@ def test_solidity_iff_hyper_satisfaction_for_single_witness(ws):
 
 
 @st.composite
-def random_algebras(draw, sig):
-    size = draw(st.integers(1, 3))
+def random_algebras(draw, sig, min_size=1):
+    size = draw(st.integers(min_size, 3))
     tables = {
         op: draw(st.lists(st.integers(0, size - 1), min_size=size**n, max_size=size**n))
         for op, n in sig.ops
@@ -307,6 +309,51 @@ def test_solidity_matches_per_sigma_oracle(data):
     assert got.failures == want.failures
     details = [f.detail for f in got.failures]
     assert len({id(d) for d in details}) == len({id(d.assignment) for d in details}) == len(details)
+
+
+# -- differential: block evaluation vs the recursive per-assignment oracle ---
+
+
+def _same_verdict(got, want):
+    if want is True:
+        assert got is True
+        return
+    assert (got.failed, list(got.assignment.items()), got.lhs_value, got.rhs_value) == (
+        want.failed, list(want.assignment.items()), want.lhs_value, want.rhs_value
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_satisfies_matches_recursive_oracle(ws, data):
+    fixtures = [ws.algebras[name] for name in sorted(ws.algebras)]
+    drawn = st.sampled_from([GRP, LAT, MIXED]).flatmap(lambda sig: random_algebras(sig, min_size=2))
+    algebra = data.draw(st.sampled_from(fixtures) | drawn)
+    quasi = data.draw(quasis(algebra.sig, n_vars=4))
+    _same_verdict(satisfies(algebra, quasi), _eval_oracle.satisfies(algebra, quasi))
+
+
+def _mul_chain(ts):
+    out = ts[-1]
+    for t in reversed(ts[:-1]):
+        out = App("mul", (t, out))
+    return out
+
+
+def test_satisfies_across_blocks_matches_oracle():
+    # 7 variables over 4 elements: 16,384 assignments in 4 blocks, x0 fixed per block
+    chain4 = FiniteAlgebra.of(GRP, ["0", "1", "2", "3"], {"mul": [max(a, b) for a in range(4) for b in range(4)]})
+    xs = [Var(i) for i in range(7)]
+    assert len(list(chain4.blocks(range(7)))) == 4
+    below_x6 = Equation(App("mul", (xs[0], xs[6])), xs[6])
+    absorbed = Equation(App("mul", (xs[0], _mul_chain(xs[1:6]))), _mul_chain(xs[1:6]))
+    refuted = QuasiEquation((below_x6,), absorbed)
+    got = satisfies(chain4, refuted)
+    _same_verdict(got, _eval_oracle.satisfies(chain4, refuted))
+    assert got.assignment[0] > 0  # past the first block, where x0 = 0
+    holds = QuasiEquation((below_x6,), Equation(_mul_chain(xs), _mul_chain(xs[::-1])))
+    assert satisfies(chain4, holds) is True
+    assert _eval_oracle.satisfies(chain4, holds) is True
 
 
 def test_signature_mismatch_is_an_error(ws):
