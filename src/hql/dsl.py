@@ -35,8 +35,9 @@ Justifications: `hyp k`, `E1(p)`, `E2(p,q)`, `E3(p,q,r)`,
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, fields
-from typing import Sequence
+from bisect import bisect_right
+from dataclasses import fields
+from typing import NamedTuple, Sequence
 
 from .algebras import FiniteAlgebra
 from .hypersubs import GENERATED_CAP, PRESETS, HyperSub, Monoid
@@ -86,22 +87,24 @@ class ResolveError(LookupError):
         super().__init__(f"{problem} {kind} {name!r}")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # ident | number | punct | arrow | implies | eof
     text: str
     line: int
     col: int
 
 
+# One match per token: leading whitespace and comments, then exactly one
+# group.  `bad` is any other character; `eof` matches only at the end.
 _TOKEN_RE = re.compile(
-    r"(?P<ws>\s+)"
-    r"|(?P<comment>\#[^\n]*)"
-    r"|(?P<arrow>->)"
+    r"\s*(?:\#[^\n]*\s*)*"
+    r"(?:(?P<arrow>->)"
     r"|(?P<implies>=>)"
     r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
     r"|(?P<number>\d+)"
     r"|(?P<punct>[{}()\[\],;:/=])"
+    r"|(?P<eof>\Z)"
+    r"|(?P<bad>.))"
 )
 
 _VAR_RE = re.compile(r"x(\d+)$")
@@ -129,60 +132,63 @@ _RULE_CLASSES = {word: cls for cls, word in _RULE_WORDS.items()}
 
 
 def tokenize(text: str, filename: str = "<input>") -> list[Token]:
+    """The tokens of `text`, ending with one `eof` token.  Lines count from 1
+    and only `\\n` ends one; columns count characters from 1."""
+    newlines = [-1, *(m.start() for m in re.finditer("\n", text))]  # line 1 starts after -1
     tokens: list[Token] = []
-    line, col, pos = 1, 1, 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col, filename)
-        kind = m.lastgroup or ""
-        chunk = m.group()
-        if kind not in ("ws", "comment"):
-            tokens.append(Token(kind, chunk, line, col))
-        newlines = chunk.count("\n")
-        if newlines:
-            line += newlines
-            col = len(chunk) - chunk.rfind("\n")
-        else:
-            col += len(chunk)
-        pos = m.end()
-    tokens.append(Token("eof", "", line, col))
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        start = m.start(kind)
+        line = bisect_right(newlines, start)
+        col = start - newlines[line - 1]
+        if kind == "bad":
+            raise ParseError(f"unexpected character {text[start]!r}", line, col, filename)
+        tokens.append(Token(kind, m.group(kind), line, col))
+        if kind == "eof":  # an empty match may follow a token that ends there
+            break
     return tokens
 
 
 class _Reader:
+    """A cursor over a token list that ends in `eof`; it never moves past
+    that token, so `tokens[pos]` is always in range."""
+
     def __init__(self, tokens: list[Token], filename: str):
         self.tokens = tokens
         self.pos = 0
         self.filename = filename
 
     def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+        if ahead:
+            return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+        return self.tokens[self.pos]
 
     def next(self) -> Token:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.kind != "eof":
             self.pos += 1
         return tok
 
     def error(self, message: str, tok: Token | None = None) -> ParseError:
-        tok = tok or self.peek()
+        tok = tok or self.tokens[self.pos]
         return ParseError(message, tok.line, tok.col, self.filename)
 
     def expect(self, text: str) -> Token:
-        tok = self.next()
+        tok = self.tokens[self.pos]
         if tok.text != text:
             raise self.error(f"expected {text!r}, found {tok.text or 'end of input'!r}", tok)
+        self.pos += 1  # `text` is never the empty text of `eof`
         return tok
 
     def expect_kind(self, kind: str) -> Token:
-        tok = self.next()
+        tok = self.tokens[self.pos]
         if tok.kind != kind:
             raise self.error(f"expected {kind}, found {tok.text or 'end of input'!r}", tok)
+        self.pos += 1  # `kind` is never `eof`
         return tok
 
     def at(self, text: str) -> bool:
-        return self.peek().text == text
+        return self.tokens[self.pos].text == text
 
 
 class _TermScope:
@@ -216,36 +222,38 @@ class _TermScope:
 
 
 def _parse_term(reader: _Reader, sig: Signature, scope: _TermScope) -> Term:
-    tok = reader.next()
+    tokens = reader.tokens
+    tok = tokens[reader.pos]
+    name = tok.text
     if tok.kind != "ident":
-        raise reader.error(f"expected a term, found {tok.text or 'end of input'!r}", tok)
-    if tok.text in scope.reserved:
-        raise reader.error(f"unexpected keyword {tok.text!r}", tok)
-    var_match = _VAR_RE.match(tok.text)
-    if var_match and not sig.has(tok.text):
-        return Var(scope.explicit(int(var_match.group(1)), reader, tok))
-    if sig.has(tok.text):
-        arity = sig.arity(tok.text)
-        if arity == 0:
-            if reader.at("("):
-                reader.next()
-                reader.expect(")")
-            return App(tok.text)
-        reader.expect("(")
-        args = [_parse_term(reader, sig, scope)]
-        while reader.at(","):
-            reader.next()
-            args.append(_parse_term(reader, sig, scope))
-        close = reader.expect(")")
-        if len(args) != arity:
-            raise reader.error(
-                f"operation {tok.text!r} expects {arity} argument(s), got {len(args)}",
-                close,
-            )
-        return App(tok.text, tuple(args))
-    if reader.at("("):
-        raise reader.error(f"unknown operation symbol {tok.text!r}", tok)
-    return Var(scope.alias(tok.text))
+        raise reader.error(f"expected a term, found {name or 'end of input'!r}", tok)
+    reader.pos += 1
+    if name in scope.reserved:
+        raise reader.error(f"unexpected keyword {name!r}", tok)
+    arity = sig._arity.get(name)
+    if arity is None:
+        var_match = _VAR_RE.match(name)
+        if var_match:
+            return Var(scope.explicit(int(var_match.group(1)), reader, tok))
+        if tokens[reader.pos].text == "(":
+            raise reader.error(f"unknown operation symbol {name!r}", tok)
+        return Var(scope.alias(name))
+    if arity == 0:
+        if tokens[reader.pos].text == "(":
+            reader.pos += 1
+            reader.expect(")")
+        return App(name)
+    reader.expect("(")
+    args = [_parse_term(reader, sig, scope)]
+    while tokens[reader.pos].text == ",":
+        reader.pos += 1
+        args.append(_parse_term(reader, sig, scope))
+    close = reader.expect(")")
+    if len(args) != arity:
+        raise reader.error(
+            f"operation {name!r} expects {arity} argument(s), got {len(args)}", close
+        )
+    return App(name, tuple(args))
 
 
 def _parse_equation(reader: _Reader, sig: Signature, scope: _TermScope) -> Equation:
@@ -291,6 +299,21 @@ def parse_quasi(text: str, sig: Signature) -> QuasiEquation:
 # -- workspace ----------------------------------------------------------------
 
 
+def _read_text(path: str) -> str:
+    """The file as text mode reads it (`\\r\\n` and a lone `\\r` become
+    `\\n`); bytes that are not UTF-8 are a ParseError at the first of them."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text, bad = data.decode("utf-8"), False
+    except UnicodeDecodeError as exc:
+        text, bad = data[: exc.start].decode("utf-8"), True
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
+    if bad:
+        raise ParseError("not UTF-8 text", text.count("\n") + 1, len(text) - text.rfind("\n"), path)
+    return text
+
+
 class Workspace:
     """Named registry of every parsed object; names are unique per kind and
     later definitions may reference earlier ones across files."""
@@ -309,8 +332,7 @@ class Workspace:
     def load(cls, paths: Sequence[str]) -> "Workspace":
         ws = cls()
         for path in paths:
-            with open(path, encoding="utf-8") as handle:
-                ws.load_text(handle.read(), filename=str(path))
+            ws.load_text(_read_text(str(path)), filename=str(path))
         return ws
 
     def load_text(self, text: str, filename: str = "<input>") -> "Workspace":

@@ -349,6 +349,23 @@ FIXTURE_TOKENS = [
 ]
 
 
+def _run_readme_command(head, tail, which, content: bytes):
+    """One README command with fixture file `which` replaced by `content`:
+    its exit code and standard error."""
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        files = fixture_paths()
+        files[which] = os.path.join(tmp, "mutated.hql")
+        Path(files[which]).write_bytes(content)
+        argv = [*head, *files, *(os.path.join(tmp, w) if w.endswith(".hql") else w for w in tail)]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse exits 2 on bad usage
+                code = exc.code
+    return code, err.getvalue()
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_exit_code_contract_under_token_mutations(data):
@@ -362,16 +379,40 @@ def test_exit_code_contract_under_token_mutations(data):
         del tokens[i]
     else:
         tokens.insert(i, tokens[i])
-    out, err = io.StringIO(), io.StringIO()
-    with tempfile.TemporaryDirectory() as tmp:
-        files = fixture_paths()
-        files[which] = os.path.join(tmp, "mutated.hql")
-        Path(files[which]).write_text(" ".join(tokens))
-        argv = [*head, *files, *(os.path.join(tmp, w) if w.endswith(".hql") else w for w in tail)]
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = main(argv)
-            except SystemExit as exc:  # argparse exits 2 on bad usage
-                code = exc.code
+    code, err = _run_readme_command(head, tail, which, " ".join(tokens).encode())
     assert code in (0, 1, 2)
-    assert "Traceback" not in err.getvalue()
+    assert "Traceback" not in err
+
+
+FIXTURE_BYTES = [Path(path).read_bytes() for path in fixture_paths()]
+# any character (as UTF-8), the blanks and controls the tokenizer treats
+# specially, and bytes that are not UTF-8 at all
+INSERTED = st.one_of(
+    st.characters(blacklist_categories=("Cs",)).map(lambda c: c.encode()),
+    st.sampled_from(["\x00", "\x0c", "\r", "\u2028", "é", "#", "٣"]).map(lambda c: c.encode()),
+    st.sampled_from([b"\xff", b"\xc3", b"\x80", b"\xed\xa0\x80"]),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_exit_code_contract_under_character_insertions(data):
+    head, tail = data.draw(st.sampled_from(README_COMMANDS))
+    which = data.draw(st.integers(0, len(FIXTURE_BYTES) - 1))
+    raw = FIXTURE_BYTES[which]
+    i = data.draw(st.integers(0, len(raw)))
+    code, err = _run_readme_command(head, tail, which, raw[:i] + data.draw(INSERTED) + raw[i:])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    assert "internal error:" not in err
+
+
+def test_non_utf8_file_is_a_parse_error(capsys, fixture_files, tmp_path):
+    bad = tmp_path / "bad.hql"
+    bad.write_bytes(b"signature S { f/2; }\r\n# caf\xc3\xa9\n  \xff")
+    code, out, err = run(
+        capsys, "check", *fixture_files, str(bad), "--algebra", "z3sub", "--quasi", "right_cancellation"
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {bad}:3:3: not UTF-8 text\n"

@@ -1,4 +1,6 @@
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from hql.dsl import (
     ParseError,
@@ -14,10 +16,12 @@ from hql.dsl import (
     render_algebra_file,
     render_proof_file,
     render_theory_file,
+    tokenize,
 )
 from hql.proofs import Hyp, HypSub, Logic, ProofBuilder, check_proof, hyperclose, normalize
 from hql.terms import App, Var
 
+from _token_oracle import tokenize as oracle_tokenize
 from proofgen import random_proof
 
 
@@ -173,6 +177,103 @@ def test_parse_error_positions():
     with pytest.raises(ParseError) as err:
         Workspace().load_text("signature S { f/2; }\nalgebra A over S {\n  elements 0 1;\n  f = [[0, 1], [1]];\n}")
     assert err.value.line == 4
+
+
+_S = "signature S { f/2; c/0; }\n"
+_T = _S + "theory T over S { f(x, y) = f(y, x); }\n"
+_P = _T + "proof p over S in Q from T\n1: f(x0, x1) = f(x1, x0) by hyp 0\n"
+
+# Malformed text and its exact message.  Lines count from 1 at each `\n`;
+# columns count characters, so a tab, `\x0c`, `\r` or `é` is one column.
+PARSE_ERRORS = [
+    ("unexpected_char", _S + "quasi q over S { f(x, y) @ x }",
+     "t.hql:2:26: unexpected character '@'"),
+    ("unexpected_non_ascii", _S + "quasi q over S { f(é, x) = x }",
+     "t.hql:2:20: unexpected character 'é'"),
+    ("tab_and_formfeed_are_one_column", "signature S {\tf/2;\x0c$ }",
+     "t.hql:1:20: unexpected character '$'"),
+    ("end_of_input", "signature S { f/2 ",
+     "t.hql:1:19: expected ident, found 'end of input'"),
+    ("end_of_input_in_term", _S + "quasi q over S { f(x,",
+     "t.hql:2:22: expected a term, found 'end of input'"),
+    ("after_comment_line", "# header\n" + _S + "# note: T comes later\nalgebra A over T { elements 0; }",
+     "t.hql:4:16: unknown signature 'T'"),
+    ("comment_at_end_of_line", _S + "quasi q over S { f(x) = x }  # one argument",
+     "t.hql:2:21: operation 'f' expects 2 argument(s), got 1"),
+    ("after_crlf", _S.replace("\n", "\r\n") + "quasi q over S {\r\n  f(x, c(), y) = x\r\n}",
+     "t.hql:3:14: operation 'f' expects 2 argument(s), got 3"),
+    ("wrong_arity", _S + "theory T over S { f(x, y) = f(x); }",
+     "t.hql:2:32: operation 'f' expects 2 argument(s), got 1"),
+    ("alias_collides_with_xN", _S + "quasi q over S { f(x, x0) = x }",
+     "t.hql:2:23: variable x0 collides with the alias 'x'"),
+    ("unknown_operation", _S + "quasi q over S { g(x) = x }",
+     "t.hql:2:18: unknown operation symbol 'g'"),
+    ("expected_a_term", _S + "quasi q over S { f(x, ) = x }",
+     "t.hql:2:23: expected a term, found ')'"),
+    ("premises_without_conclusion", _S + "quasi q over S { f(x, y) = x, f(y, x) = y }",
+     "t.hql:2:43: premise list without a '=>' conclusion"),
+    ("definition_keyword", _S + "sig Q { g/1; }",
+     "t.hql:2:1: expected a definition keyword, found 'sig'"),
+    ("variable_named_operation", "signature S { x1/2; }",
+     "t.hql:1:17: operation name 'x1' clashes with variable syntax"),
+    ("unknown_signature", "algebra A over NOPE { elements 0; }",
+     "t.hql:1:16: unknown signature 'NOPE'"),
+    ("table_rows", _S + "algebra A over S { elements 0 1; f = [[0, 1], [1]]; c = 0; }",
+     "t.hql:2:34: table for 'f' must have 2 row(s) per level"),
+    ("unknown_label", _S + "algebra A over S { elements 0 1; f = [[0, 1], [1, 2]]; c = 0; }",
+     "t.hql:2:34: unknown element label '2' in table for 'f'"),
+    ("unknown_preset", _S + "monoid M over S { preset everything; }",
+     "t.hql:2:26: unknown preset 'everything'"),
+    ("two_member_lists", _S + "monoid M over S { preset trivial; cap 3; }",
+     "t.hql:2:35: 'cap' cannot follow 'preset': a monoid takes one member list"),
+    ("pattern_parameter", _S + "hypersub h over S { f(x1, x0) -> f(x0, x1); c -> c; }",
+     "t.hql:2:21: positional parameter 'x1' must be x0"),
+    ("bad_justification", _P + "2: f(x1, x0) = f(x0, x1) by swap 1\n",
+     "t.hql:5:29: unknown justification 'swap'"),
+    ("line_reference_out_of_range", _P + "2: f(x1, x0) = f(x0, x1) by subst 2 {x0 -> x1, x1 -> x0}\n",
+     "t.hql:5:35: line reference 2 is not an earlier line"),
+    ("line_reference_zero", _P + "2: f(x1, x0) = f(x0, x1) by cut 1 0\n",
+     "t.hql:5:35: line reference 0 is not an earlier line"),
+    ("line_numbers_sequential", _P + "3: f(x1, x0) = f(x0, x1) by hyp 0\n",
+     "t.hql:5:1: line numbers must be sequential (expected 2)"),
+    ("keyword_as_term", _P + "2: f(by, x0) = x0 by hyp 0\n",
+     "t.hql:5:6: unexpected keyword 'by'"),
+    ("substitution_key", _P + "2: f(x1, x0) = f(x0, x1) by subst 1 {y -> x1}\n",
+     "t.hql:5:38: substitution keys must be explicit x<digits>"),
+    ("unknown_logic", _T + "proof p over S in R from T\n",
+     "t.hql:3:19: unknown logic 'R'"),
+]
+
+
+@pytest.mark.parametrize(
+    "text, message", [case[1:] for case in PARSE_ERRORS], ids=[case[0] for case in PARSE_ERRORS]
+)
+def test_parse_error_message(text, message):
+    with pytest.raises(ParseError) as err:
+        Workspace().load_text(text, filename="t.hql")
+    assert str(err.value) == message
+
+
+# Pieces of every token kind, every kind of blank, comments and characters
+# no token takes, some of them outside ASCII (`٣` is a Unicode digit).
+TEXT_PIECES = [
+    "->", "=>", "x0", "x12", "mul", "_a1", "B2", "7", "042", *"{}()[],;:/=",
+    " ", "\t", "\n", "\r\n", "\r", "\x0c", "\x0b", "\xa0", "\u2028",
+    "# note", "#", "é", "λ", "٣", "-", ">", "@", "\x00", ".",
+]
+
+
+def _tokens_or_error(tokenizer, text):
+    try:
+        return [(t.kind, t.text, t.line, t.col) for t in tokenizer(text, "t.hql")]
+    except ParseError as exc:
+        return str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.lists(st.sampled_from(TEXT_PIECES), max_size=30).map("".join), st.text(max_size=30)))
+def test_tokenize_matches_oracle(text):
+    assert _tokens_or_error(tokenize, text) == _tokens_or_error(oracle_tokenize, text)
 
 
 def test_unknown_signature_reference():
