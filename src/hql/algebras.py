@@ -1,8 +1,10 @@
 """Finite algebras, term evaluation, and derived algebras.
 
 An algebra interprets every operation symbol of its signature by a total
-table over universe indices.  Tables are stored flat in row-major order
-(first argument varies slowest); a constant's table is a single entry.
+table over universe indices.  Tables are kept in signature order, one per
+operation, so a derived algebra is given by its tuple of derived tables.
+Each is flat in row-major order (first argument varies slowest); a
+constant's table is a single entry.
 Elements are referenced by index internally and by label at the text
 boundary.  Values are immutable after construction and evaluation is pure,
 so evaluations over disjoint assignments may run concurrently.
@@ -29,33 +31,28 @@ class AlgebraError(ValueError):
 class FiniteAlgebra:
     sig: Signature
     universe: tuple[str, ...]
-    tables: tuple[tuple[str, tuple[int, ...]], ...]
+    tables: tuple[tuple[int, ...], ...]
     name: str = field(default="", compare=False)
 
     def __post_init__(self) -> None:
-        if not self.universe:
-            raise AlgebraError("universe must be non-empty")
-        if len(set(self.universe)) != len(self.universe):
-            raise AlgebraError("duplicate element labels")
         size = len(self.universe)
-        given = dict(self.tables)
-        for op, arity in self.sig.ops:
-            if op not in given:
-                raise AlgebraError(f"missing table for operation {op!r}")
-            table = given[op]
+        if not size:
+            raise AlgebraError("universe must be non-empty")
+        if len(set(self.universe)) != size:
+            raise AlgebraError("duplicate element labels")
+        if len(self.tables) != len(self.sig.ops):
+            raise AlgebraError(f"{len(self.tables)} table(s) for {len(self.sig.ops)} operation(s)")
+        for (op, arity), table in zip(self.sig.ops, self.tables):
             if len(table) != size**arity:
                 raise AlgebraError(
                     f"table for {op!r} has {len(table)} entries, "
                     f"expected {size**arity}"
                 )
-            for entry in table:
-                if not 0 <= entry < size:
-                    raise AlgebraError(
-                        f"table for {op!r} contains out-of-range entry {entry}"
-                    )
-        if set(given) != set(self.sig.op_names):
-            extra = set(given) - set(self.sig.op_names)
-            raise AlgebraError(f"tables for unknown operations {sorted(extra)}")
+            if min(table) < 0 or max(table) >= size:
+                entry = next(e for e in table if not 0 <= e < size)
+                raise AlgebraError(
+                    f"table for {op!r} contains out-of-range entry {entry}"
+                )
 
     @classmethod
     def of(
@@ -65,9 +62,14 @@ class FiniteAlgebra:
         tables: Mapping[str, Sequence[int]],
         name: str = "",
     ) -> "FiniteAlgebra":
-        ordered = tuple(
-            (op, tuple(tables[op])) for op, _ in sig.ops if op in tables
-        )
+        """The algebra with the table `tables[op]` for each operation."""
+        for op in sig.op_names:
+            if op not in tables:
+                raise AlgebraError(f"missing table for operation {op!r}")
+        if len(tables) != len(sig.ops):
+            extra = set(tables) - set(sig.op_names)
+            raise AlgebraError(f"tables for unknown operations {sorted(extra)}")
+        ordered = tuple(tuple(tables[op]) for op in sig.op_names)
         return cls(sig, tuple(universe), ordered, name=name)
 
     @property
@@ -75,7 +77,7 @@ class FiniteAlgebra:
         return len(self.universe)
 
     def table(self, op: str) -> tuple[int, ...]:
-        for o, t in self.tables:
+        for (o, _), t in zip(self.sig.ops, self.tables):
             if o == op:
                 return t
         raise AlgebraError(f"no table for operation {op!r}")
@@ -118,9 +120,7 @@ class FiniteAlgebra:
 
     def derived(self, sigma: HyperSub) -> "FiniteAlgebra":
         """Reinterpret every operation as the term operation of its image."""
-        tables = tuple(
-            (op, self.term_table(sigma.image(op), arity)) for op, arity in self.sig.ops
-        )
+        tables = tuple(self.term_table(sigma.image(op), arity) for op, arity in self.sig.ops)
         return FiniteAlgebra(self.sig, self.universe, tables, name=self.name)
 
     def assignments(self, variables: Sequence[int]) -> Iterator[dict[int, int]]:
@@ -154,8 +154,5 @@ def all_algebras(sig: Signature, size: int) -> Iterator[FiniteAlgebra]:
         list(itertools.product(range(size), repeat=size**arity))
         for _, arity in sig.ops
     ]
-    for combo in itertools.product(*per_op):
-        tables = tuple(
-            (op, entries) for (op, _), entries in zip(sig.ops, combo)
-        )
+    for tables in itertools.product(*per_op):
         yield FiniteAlgebra(sig, universe, tables)

@@ -407,12 +407,12 @@ class _BlockParser(_Reader):
         self.expect("{")
         ops: list[tuple[str, int]] = []
         while not self.at("}"):
-            op = self.expect_kind("ident").text
-            if _VAR_RE.match(op):
-                raise self.error(f"operation name {op!r} clashes with variable syntax")
+            op = self.expect_kind("ident")
+            if _VAR_RE.match(op.text):
+                raise self.error(f"operation name {op.text!r} clashes with variable syntax", op)
             self.expect("/")
             arity = int(self.expect_kind("number").text)
-            ops.append((op, arity))
+            ops.append((op.text, arity))
             if self.at(";"):
                 self.next()
         self.expect("}")
@@ -523,9 +523,7 @@ class _BlockParser(_Reader):
         return word, tuple(params)
 
     def _sigma_by_name(self, name: str, sig: Signature) -> HyperSub:
-        if name not in self.ws.hypersubs:
-            raise ResolveError("hypersub", name)
-        sigma_sig, sigma = self.ws.hypersubs[name]
+        sigma_sig, sigma = self.ws.hypersub(name)
         if sigma_sig != sig:
             raise ResolveError("hypersub", f"{name} (wrong signature)")
         return sigma
@@ -645,18 +643,13 @@ class _BlockParser(_Reader):
             logic = Logic.hq()
         elif logic_tok.text == "MHQ":
             self.expect("(")
-            mon_tok = self.expect_kind("ident")
-            if mon_tok.text not in self.ws.monoids:
-                raise ResolveError("monoid", mon_tok.text)
-            logic = Logic.mhq(self.ws.monoids[mon_tok.text])
+            logic = Logic.mhq(self.ws.monoid(self.expect_kind("ident").text))
             self.expect(")")
         else:
             raise self.error(f"unknown logic {logic_tok.text!r}", logic_tok)
         self.expect("from")
         th_tok = self.expect_kind("ident")
-        if th_tok.text not in self.ws.theories:
-            raise ResolveError("theory", th_tok.text)
-        theory = self.ws.theories[th_tok.text]
+        theory = self.ws.theory(th_tok.text)
         if theory.sig != sig:
             raise self.error("theory signature differs from the proof signature", th_tok)
 
@@ -734,10 +727,7 @@ class _BlockParser(_Reader):
         if cls is Ext:
             return Ext(*refs, _parse_equation(self, sig, scope))
         if cls is HypSub:
-            sigma_tok = self.expect_kind("ident")
-            if sigma_tok.text not in self.ws.hypersubs:
-                raise ResolveError("hypersub", sigma_tok.text)
-            return HypSub(*refs, self.ws.hypersubs[sigma_tok.text][1])
+            return HypSub(*refs, self.ws.hypersub(self.expect_kind("ident").text)[1])
         return cls(*refs)  # cut, mp
 
 

@@ -163,13 +163,14 @@ class _DerivedAlgebras:
     """The derived algebras of one algebra under the members of one monoid,
     shared by the checks of one call.
 
-    A member's key is the tuple of its derived tables in signature order.
-    Tables are cached per operation by the identity of the image object:
-    preset monoids share one object per admissible image, so each table is
-    computed once per distinct image, and `sigmas` keeps every image alive
-    for the whole call, so an id is never reused.  Each algebra is built
-    once per key, so thousands of members sharing a handful of derived
-    algebras cost a handful of constructions.
+    A member's key is the tuple of its derived tables in signature order,
+    which is its derived algebra's `tables`.  Tables are cached per
+    operation by the identity of the image object: preset monoids share one
+    object per admissible image, so each table is computed once per
+    distinct image, and `sigmas` keeps every image alive for the whole
+    call, so an id is never reused.  The checks cache their verdicts per
+    key, so thousands of members sharing a handful of derived algebras cost
+    a handful of checks.
     """
 
     def __init__(self, algebra: FiniteAlgebra, monoid: Monoid):
@@ -177,7 +178,6 @@ class _DerivedAlgebras:
         self.sigmas = monoid.elements()
         self._tables: list[dict[int, tuple[int, ...]]] = [{} for _ in algebra.sig.ops]
         self._keys: list[tuple[tuple[int, ...], ...]] = []
-        self._algebras: dict[tuple[tuple[int, ...], ...], FiniteAlgebra] = {}
 
     def members(self) -> Iterator[tuple[HyperSub, tuple]]:
         """(sigma, key) in canonical order; keys are computed on first visit."""
@@ -197,12 +197,8 @@ class _DerivedAlgebras:
     def get(self, key: tuple) -> FiniteAlgebra:
         """The derived algebra with the tables `key`; equal to
         `algebra.derived(sigma)` for every sigma with that key."""
-        if key not in self._algebras:
-            a = self.algebra
-            self._algebras[key] = FiniteAlgebra(
-                a.sig, a.universe, tuple(zip(a.sig.op_names, key)), name=a.name
-            )
-        return self._algebras[key]
+        a = self.algebra
+        return FiniteAlgebra(a.sig, a.universe, key, name=a.name)
 
 
 def _hyper(derived: _DerivedAlgebras, quasi: QuasiEquation) -> CheckResult:

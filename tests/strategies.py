@@ -1,8 +1,10 @@
-"""Hypothesis strategies for terms, substitutions and hypersubstitutions."""
+"""Hypothesis strategies for terms, substitutions, hypersubstitutions and
+finite algebras."""
 
 import hypothesis.strategies as st
 
 from hql.terms import App, Equation, QuasiEquation, Signature, Substitution, Var
+from hql.algebras import FiniteAlgebra
 from hql.hypersubs import HyperSub
 
 GRP = Signature.of("GRP", mul=2)
@@ -62,3 +64,13 @@ def _clamp_vars(term, arity):
     if isinstance(term, Var):
         return Var(term.index % arity) if arity else App("c")
     return App(term.op, tuple(_clamp_vars(a, arity) for a in term.args))
+
+
+@st.composite
+def random_algebras(draw, sig, min_size=1):
+    size = draw(st.integers(min_size, 3))
+    tables = {
+        op: draw(st.lists(st.integers(0, size - 1), min_size=size**n, max_size=size**n))
+        for op, n in sig.ops
+    }
+    return FiniteAlgebra.of(sig, [str(i) for i in range(size)], tables, name="a")

@@ -6,24 +6,40 @@ from hql.algebras import AlgebraError, FiniteAlgebra, all_algebras
 from hql.hypersubs import HyperSub
 from hql.terms import App, Var, variables
 
-from strategies import GRP, LAT, hypersubs, terms
+from strategies import GRP, LAT, MIXED, hypersubs, random_algebras, terms
 
 x0, x1 = Var(0), Var(1)
 
 
-def test_table_validation():
-    with pytest.raises(AlgebraError):
-        FiniteAlgebra.of(LAT, ["0", "1"], {"meet": [0, 0, 0, 1]})  # join missing
-    with pytest.raises(AlgebraError):
-        FiniteAlgebra.of(
-            LAT, ["0", "1"], {"meet": [0, 0, 0], "join": [0, 1, 1, 1]}
-        )  # ragged
-    with pytest.raises(AlgebraError):
-        FiniteAlgebra.of(
-            LAT, ["0", "1"], {"meet": [0, 0, 0, 5], "join": [0, 1, 1, 1]}
-        )  # out of range
-    with pytest.raises(AlgebraError):
-        FiniteAlgebra.of(LAT, [], {"meet": [], "join": []})
+MEET, JOIN = [0, 0, 0, 1], [0, 1, 1, 1]
+# Malformed input to `FiniteAlgebra.of` over LAT, and its exact message.
+OF_ERRORS = [
+    ("missing_table", ["0", "1"], {"meet": MEET}, "missing table for operation 'join'"),
+    ("ragged_table", ["0", "1"], {"meet": [0, 0, 0], "join": JOIN}, "table for 'meet' has 3 entries, expected 4"),
+    ("out_of_range_entry", ["0", "1"], {"meet": MEET, "join": [0, 7, 1, 5]},
+     "table for 'join' contains out-of-range entry 7"),
+    ("negative_entry", ["0", "1"], {"meet": [0, 0, -1, 1], "join": JOIN},
+     "table for 'meet' contains out-of-range entry -1"),
+    ("empty_universe", [], {"meet": [], "join": []}, "universe must be non-empty"),
+    ("duplicate_labels", ["0", "0"], {"meet": MEET, "join": JOIN}, "duplicate element labels"),
+    ("unknown_operation", ["0", "1"], {"meet": MEET, "join": JOIN, "foo": [0]},
+     "tables for unknown operations ['foo']"),
+]
+
+
+@pytest.mark.parametrize(
+    "universe, tables, message", [case[1:] for case in OF_ERRORS], ids=[case[0] for case in OF_ERRORS]
+)
+def test_of_error_message(universe, tables, message):
+    with pytest.raises(AlgebraError) as err:
+        FiniteAlgebra.of(LAT, universe, tables)
+    assert str(err.value) == message
+
+
+def test_constructor_takes_one_table_per_operation():
+    with pytest.raises(AlgebraError) as err:
+        FiniteAlgebra(LAT, ("0", "1"), (tuple(MEET),))
+    assert str(err.value) == "1 table(s) for 2 operation(s)"
 
 
 def test_eval_variable_case(ws):
@@ -83,6 +99,20 @@ def test_derived_functoriality(ws, s1, s2):
     # the second derivation evaluates s1-images inside the s2-derived algebra
     l2 = ws.algebra("l2")
     assert l2.derived(s2).derived(s1).tables == l2.derived(s2.compose(s1)).tables
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_term_table_from_argument_tables(data):
+    # the table of f(t1, ..., tk) is f applied to the tables of the ti as columns
+    sig = data.draw(st.sampled_from([GRP, LAT, MIXED]))
+    algebra = data.draw(random_algebras(sig))
+    op, k = data.draw(st.sampled_from([(op, k) for op, k in sig.ops if k >= 1]))
+    n = data.draw(st.integers(1, 3))
+    args = data.draw(st.tuples(*[terms(sig, n_vars=n, max_depth=3)] * k))
+    columns = {i: algebra.term_table(t, n) for i, t in enumerate(args)}
+    step = algebra.values([App(op, tuple(Var(i) for i in range(k)))], columns)[0]
+    assert algebra.term_table(App(op, args), n) == tuple(step)
 
 
 def test_all_algebras_count():

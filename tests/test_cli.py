@@ -347,6 +347,34 @@ README_COMMANDS = (
 FIXTURE_TOKENS = [
     [t.text for t in tokenize(Path(path).read_text()) if t.kind != "eof"] for path in fixture_paths()
 ]
+# tests/golden/<case>/ holds what each README command leaves in an empty
+# working directory: `exit` (the code and a newline), `stdout`, and every
+# `--out` file.  `<case>` is the command's words joined by `-`, plus `-json`
+# when run with `--json`.
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_CASES = [
+    ("-".join(head) + suffix, head, tail + flags)
+    for head, tail in README_COMMANDS
+    for suffix, flags in (("", []), ("-json", ["--json"]))
+]
+
+
+def _golden_run(head, tail) -> dict[str, bytes]:
+    """Run one README command in the current directory: the files it leaves,
+    with its exit code and stdout, as in a golden case directory."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main([*head, *fixture_paths(), *tail])
+    files = {p.name: p.read_bytes() for p in Path.cwd().iterdir()}
+    return {**files, "exit": f"{code}\n".encode(), "stdout": out.getvalue().encode()}
+
+
+@pytest.mark.parametrize("case, head, tail", GOLDEN_CASES, ids=[c[0] for c in GOLDEN_CASES])
+def test_readme_command_matches_golden(case, head, tail, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("HQL_COLOR", raising=False)
+    want = {p.name: p.read_bytes() for p in (GOLDEN / case).iterdir()}
+    assert _golden_run(head, tail) == want
 
 
 def _run_readme_command(head, tail, which, content: bytes):

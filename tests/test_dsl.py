@@ -215,7 +215,7 @@ PARSE_ERRORS = [
     ("definition_keyword", _S + "sig Q { g/1; }",
      "t.hql:2:1: expected a definition keyword, found 'sig'"),
     ("variable_named_operation", "signature S { x1/2; }",
-     "t.hql:1:17: operation name 'x1' clashes with variable syntax"),
+     "t.hql:1:15: operation name 'x1' clashes with variable syntax"),
     ("unknown_signature", "algebra A over NOPE { elements 0; }",
      "t.hql:1:16: unknown signature 'NOPE'"),
     ("table_rows", _S + "algebra A over S { elements 0 1; f = [[0, 1], [1]]; c = 0; }",
@@ -281,9 +281,25 @@ def test_unknown_signature_reference():
         Workspace().load_text("algebra A over NOPE { elements 0; }")
 
 
-def test_unknown_hypersub_in_monoid():
-    with pytest.raises(ResolveError):
-        Workspace().load_text("signature S { f/2; }\nmonoid M over S { elements ghost; }")
+# A name that resolves to nothing, and its exact message.
+RESOLVE_ERRORS = [
+    ("mhq_monoid", _T + "proof p over S in MHQ(nosuch) from T\n", "unknown monoid 'nosuch'"),
+    ("proof_theory", _T + "proof p over S in Q from nosuch\n", "unknown theory 'nosuch'"),
+    ("hypsub_sigma", _P + "2: f(x1, x0) = f(x0, x1) by hypsub 1 nosuch\n", "unknown hypersub 'nosuch'"),
+    ("monoid_elements", _S + "monoid M over S { elements nosuch; }", "unknown hypersub 'nosuch'"),
+    ("monoid_wrong_signature",
+     _S + "signature R { g/1; }\nhypersub h over R { g(x0) -> x0; }\nmonoid M over S { generators h; }",
+     "unknown hypersub 'h (wrong signature)'"),
+]
+
+
+@pytest.mark.parametrize(
+    "text, message", [case[1:] for case in RESOLVE_ERRORS], ids=[case[0] for case in RESOLVE_ERRORS]
+)
+def test_resolve_error_message(text, message):
+    with pytest.raises(ResolveError) as err:
+        Workspace().load_text(text, filename="t.hql")
+    assert str(err.value) == message
 
 
 def test_table_entry_errors():

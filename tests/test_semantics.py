@@ -26,7 +26,7 @@ from hql.terms import App, Equation, QuasiEquation, Signature, Var, variables
 
 import _eval_oracle
 import _hyper_oracle as oracle
-from strategies import GRP, LAT, MIXED, quasis
+from strategies import GRP, LAT, MIXED, quasis, random_algebras
 
 x0, x1, x2 = Var(0), Var(1), Var(2)
 
@@ -242,16 +242,6 @@ def test_solidity_iff_hyper_satisfaction_for_single_witness(ws):
 
 
 # -- differential: one verdict per derived algebra vs the per-sigma oracle ----
-
-
-@st.composite
-def random_algebras(draw, sig, min_size=1):
-    size = draw(st.integers(min_size, 3))
-    tables = {
-        op: draw(st.lists(st.integers(0, size - 1), min_size=size**n, max_size=size**n))
-        for op, n in sig.ops
-    }
-    return FiniteAlgebra.of(sig, [str(i) for i in range(size)], tables, name="a")
 
 
 def _dropping_monoid(sig):
