@@ -41,7 +41,6 @@ from .proofs import (
     hyperclose,
     hyperclose_detailed,
     is_normal,
-    is_valid,
     map_proof,
     normalize,
     saturate,

@@ -77,10 +77,10 @@ class FiniteAlgebra:
         return len(self.universe)
 
     def table(self, op: str) -> tuple[int, ...]:
-        for (o, _), t in zip(self.sig.ops, self.tables):
-            if o == op:
-                return t
-        raise AlgebraError(f"no table for operation {op!r}")
+        i = self.sig.position.get(op)
+        if i is None:
+            raise AlgebraError(f"no table for operation {op!r}")
+        return self.tables[i]
 
     def values(self, terms: Sequence[Term], columns: Mapping[int, Sequence[int]]) -> list[list[int]]:
         """Each term's value at every position, where `columns` maps each

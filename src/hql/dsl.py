@@ -395,12 +395,15 @@ class _BlockParser(_Reader):
             handler()
 
     def _named_sig(self) -> tuple[str, Signature]:
-        name = self.expect_kind("ident").text
+        return self.expect_kind("ident").text, self._over()
+
+    def _over(self) -> Signature:
+        """`over IDENT`: the signature named IDENT."""
         self.expect("over")
         sig_tok = self.expect_kind("ident")
         if sig_tok.text not in self.ws.signatures:
             raise self.error(f"unknown signature {sig_tok.text!r}", sig_tok)
-        return name, self.ws.signatures[sig_tok.text]
+        return self.ws.signatures[sig_tok.text]
 
     def _signature(self) -> None:
         name = self.expect_kind("ident").text
@@ -630,11 +633,7 @@ class _BlockParser(_Reader):
             name = f"proof{self.ws._anon_proofs}"
         else:
             name = self.expect_kind("ident").text
-        self.expect("over")
-        sig_tok = self.expect_kind("ident")
-        if sig_tok.text not in self.ws.signatures:
-            raise self.error(f"unknown signature {sig_tok.text!r}", sig_tok)
-        sig = self.ws.signatures[sig_tok.text]
+        sig = self._over()
         self.expect("in")
         logic_tok = self.expect_kind("ident")
         if logic_tok.text == "Q":

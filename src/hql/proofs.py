@@ -23,6 +23,7 @@ is a single forward pass.
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import itertools
 from dataclasses import dataclass, field
@@ -318,14 +319,6 @@ def check_proof(proof: Proof) -> None:
         produced = produced_statement(j, stated, proof.theory, proof.logic, i)
         if not produced.set_eq(quasi):
             raise ProofError(i, "stated quasi-equation does not match the rule result")
-
-
-def is_valid(proof: Proof) -> bool:
-    try:
-        check_proof(proof)
-        return True
-    except ProofError:
-        return False
 
 
 # -- hyperclosure -------------------------------------------------------------
@@ -632,12 +625,6 @@ class SaturationResult:
     def truncated(self) -> bool:
         return self.truncated_by is not None
 
-    def line_of(self, item: QuasiEquation) -> int:
-        for i, (quasi, _) in enumerate(self.proof.lines):
-            if quasi.set_eq(item):
-                return i
-        raise KeyError(str(item))
-
 
 def saturate(
     theory: Theory,
@@ -659,22 +646,30 @@ def saturate(
     produces anything new anywhere.  Each candidate is a justification
     alone; its statement comes from `produced_statement`, the rules' one
     description, so every emitted item carries a checkable proof line.
-    Generation stops once `max_items` refuses a candidate.  `truncated_by`
-    names the cap that cut growth short: "items" when `max_items` dropped an
-    item, else "iterations" when the rounds ran out before a fixpoint; it is
-    None at a fixpoint.
+    Candidates that cannot pass the premise cap are not generated
+    (transitivity under a cap below two, compatibility for an operation of
+    higher arity, an extension of a line already at the cap), and a cut's
+    majors are looked up in an index from each premise to the lines that
+    have it.  Generation stops once
+    `max_items` refuses a candidate.  `truncated_by` names the cap that cut
+    growth short: "items" when `max_items` dropped an item, else
+    "iterations" when the rounds ran out before a fixpoint; it is None at a
+    fixpoint.
     """
     require_one_signature((_named("theory", theory), theory.sig), (_named("monoid", monoid), monoid.sig))
     logic = Logic.mhq(monoid)
     builder = ProofBuilder(theory, logic)
     known: set = set()  # the keys of the stated lines
     order: list[QuasiEquation] = []  # the builder's stated lines; item i is line i
+    having: dict[Equation, list[int]] = {}  # premise -> the lines that have it, ascending
     truncated_by = None
 
     def statement(j: Justification) -> QuasiEquation:
         return produced_statement(j, order, theory, logic, len(order))
 
     def admit(j: Justification, quasi: QuasiEquation) -> None:
+        for p in quasi.premises:
+            having.setdefault(p, []).append(len(order))
         builder.add(j)
         known.add(quasi.key())
         order.append(quasi)
@@ -700,6 +695,18 @@ def saturate(
                 for lhs in itertools.product(axiom_universe, repeat=arity):
                     for rhs in itertools.product(axiom_universe, repeat=arity):
                         yield Compat(op, lhs, rhs)
+
+    def extensible(line: int) -> bool:
+        # An extension of a line at the premise cap adds a premise, so it
+        # exceeds the cap, or it restates the line, whose key is known: it
+        # is not generated, as `axioms` generates no `Compat` above the cap.
+        return len(order[line].premises) < premise_count
+
+    def majors(minor: int, lines: range) -> list[int]:
+        """The lines in `lines` with `minor`'s conclusion among their
+        premises, ascending."""
+        found = having.get(order[minor].conclusion, [])
+        return found[bisect.bisect_left(found, lines.start):bisect.bisect_left(found, lines.stop)]
 
     all_identities: list[Equation] = []
     seen_eq: set = set()
@@ -736,15 +743,22 @@ def saturate(
                         delta = Substitution.of({v: Var(w) for v, w in zip(vs, image)})
                         if delta.bindings:
                             yield Subst(base, delta)
-                for eq in itertools.chain(all_identities, new_identities):
-                    yield Ext(base, eq)
+                if extensible(base):
+                    for eq in itertools.chain(all_identities, new_identities):
+                        yield Ext(base, eq)
             for base in older:
-                for eq in new_identities:
-                    yield Ext(base, eq)
+                if extensible(base):
+                    for eq in new_identities:
+                        yield Ext(base, eq)
 
-            pairs = itertools.chain(itertools.product(frontier, current), itertools.product(older, frontier))
-            for minor, major in pairs:
-                if order[minor].conclusion in order[major].premises:
+            # the lines admitted while this round runs all come after
+            # `current`, so a minor's majors do not depend on when they are
+            # looked up
+            for minor in frontier:
+                for major in majors(minor, current):
+                    yield Cut(major=major, minor=minor)
+            for minor in older:
+                for major in majors(minor, frontier):
                     yield Cut(major=major, minor=minor)
 
             all_identities.extend(new_identities)
@@ -755,7 +769,7 @@ def saturate(
 
     for j in candidates():
         quasi = statement(j)
-        if quasi.key() in known or len(quasi.premises) > premise_count:
+        if len(quasi.premises) > premise_count or quasi.key() in known:
             continue
         terms = [t for p in (*quasi.premises, quasi.conclusion) for t in (p.lhs, p.rhs)]
         if any(term_depth(t) > term_depth_cap for t in terms):

@@ -33,8 +33,9 @@ class Signature:
             if arity < 0:
                 raise TermError(f"operation {op!r} has negative arity")
             seen.add(op)
-        # a lookup table, not a field: equality, hash and repr stay on `ops`
+        # lookup tables, not fields: equality, hash and repr stay on `ops`
         object.__setattr__(self, "_arity", dict(self.ops))
+        object.__setattr__(self, "position", {op: i for i, (op, _) in enumerate(self.ops)})
 
     @classmethod
     def of(cls, _name: str = "", **ops: int) -> "Signature":

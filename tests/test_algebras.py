@@ -4,7 +4,7 @@ import hypothesis.strategies as st
 
 from hql.algebras import AlgebraError, FiniteAlgebra, all_algebras
 from hql.hypersubs import HyperSub
-from hql.terms import App, Var, variables
+from hql.terms import App, Signature, Var, variables
 
 from strategies import GRP, LAT, MIXED, hypersubs, random_algebras, terms
 
@@ -40,6 +40,18 @@ def test_constructor_takes_one_table_per_operation():
     with pytest.raises(AlgebraError) as err:
         FiniteAlgebra(LAT, ("0", "1"), (tuple(MEET),))
     assert str(err.value) == "1 table(s) for 2 operation(s)"
+
+
+def test_table_by_operation_name():
+    lat = FiniteAlgebra.of(LAT, ["0", "1"], {"join": JOIN, "meet": MEET})
+    assert (lat.table("meet"), lat.table("join")) == (tuple(MEET), tuple(JOIN))
+    with pytest.raises(AlgebraError) as err:
+        lat.table("mul")
+    assert str(err.value) == "no table for operation 'mul'"
+    # the operation positions are no field of the signature
+    renamed = Signature(LAT.ops, name="other")
+    assert renamed == LAT and hash(renamed) == hash(LAT)
+    assert repr(LAT) == "Signature(ops=(('meet', 2), ('join', 2)), name='LAT')"
 
 
 def test_eval_variable_case(ws):

@@ -240,6 +240,8 @@ PARSE_ERRORS = [
      "t.hql:5:6: unexpected keyword 'by'"),
     ("substitution_key", _P + "2: f(x1, x0) = f(x0, x1) by subst 1 {y -> x1}\n",
      "t.hql:5:38: substitution keys must be explicit x<digits>"),
+    ("proof_unknown_signature", _T + "proof p over NOPE in Q from T\n",
+     "t.hql:3:14: unknown signature 'NOPE'"),
     ("unknown_logic", _T + "proof p over S in R from T\n",
      "t.hql:3:19: unknown logic 'R'"),
 ]

@@ -1,6 +1,8 @@
 import hashlib
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import example, given, settings
 
 from hql.hypersubs import HyperSub, Monoid
 from hql.proofs import (
@@ -26,7 +28,6 @@ from hql.proofs import (
     hyperclose,
     hyperclose_detailed,
     is_normal,
-    is_valid,
     map_proof,
     normalize,
     saturate,
@@ -35,8 +36,9 @@ from hql.proofs import (
 from hql.semantics import Theory
 from hql.terms import App, Equation, QuasiEquation, Substitution, Var, term_size
 
+import _saturate_oracle
 from proofgen import random_proof, random_term
-from strategies import GRP, LAT, MIXED
+from strategies import GRP, LAT, MIXED, quasis
 
 x0, x1, x2 = Var(0), Var(1), Var(2)
 
@@ -438,8 +440,7 @@ def test_saturate_contains_swapped_item():
     keys = {item.key() for item in result.theory.items}
     assert swapped.key() in keys
     check_proof(result.proof)
-    line = result.line_of(swapped)
-    assert result.proof.lines[line][0].set_eq(swapped)
+    assert any(quasi.set_eq(swapped) for quasi, _ in result.proof.lines)
 
 
 def test_saturate_idempotent_at_fixpoint():
@@ -491,6 +492,26 @@ def test_saturate_output_is_pinned(ws):
         assert (len(result.theory.items), result.truncated_by) == (count, truncated_by), (monoid, caps)
         assert hashlib.sha256(text.encode()).hexdigest() == digest, (monoid, caps)
         check_proof(result.proof)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    items=st.lists(quasis(GRP, n_vars=3, max_depth=2, max_premises=3), max_size=3),
+    monoid=st.sampled_from(["grp_pos", "grp_proj", "trivial"]),
+    caps=st.tuples(st.integers(0, 1), st.integers(0, 3), st.integers(1, 4), st.integers(20, 300)),
+)
+# premise cap 0, and a hypothesis with more premises than the cap
+@example(items=[CANCEL], monoid="grp_proj", caps=(1, 0, 3, 300))
+@example(items=[QuasiEquation((Equation(x0, x1), Equation(x1, x2)), Equation(x0, x2))],
+         monoid="grp_pos", caps=(1, 1, 4, 300))
+def test_saturate_matches_oracle(ws, items, monoid, caps):
+    # the items, their order, the proof lines and the stopping cap
+    theory = Theory(GRP, tuple(items))
+    m = Monoid.trivial(GRP) if monoid == "trivial" else ws.monoid(monoid)
+    got, want = saturate(theory, m, *caps), _saturate_oracle.saturate(theory, m, *caps)
+    assert got.theory.items == want.theory.items
+    assert got.proof.lines == want.proof.lines
+    assert got.truncated_by == want.truncated_by
 
 
 def test_saturate_monotone_in_caps():
