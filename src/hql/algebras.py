@@ -85,29 +85,28 @@ class FiniteAlgebra:
     def values(self, terms: Sequence[Term], columns: Mapping[int, Sequence[int]]) -> list[list[int]]:
         """Each term's value at every position, where `columns` maps each
         variable to its values, one per position.  Bottom-up with an
-        explicit stack; a node shared between terms is evaluated once (keyed
-        by id: `terms` keeps every node alive, and hashing a term recurses)."""
+        explicit stack; a node shared between terms is evaluated once."""
         size, n = self.size, len(next(iter(columns.values()), [0]))
-        memo: dict[int, list[int]] = {}
+        memo: dict[Term, list[int]] = {}
         stack = list(terms)
         while stack:
             t = stack.pop()
-            if id(t) in memo:
+            if t in memo:
                 continue
             if isinstance(t, Var):
                 if t.index not in columns:
                     raise AlgebraError(f"unassigned variable x{t.index}")
-                memo[id(t)] = list(columns[t.index])
+                memo[t] = list(columns[t.index])
                 continue
-            pending = [a for a in t.args if id(a) not in memo]
+            pending = [a for a in t.args if a not in memo]
             if pending:
                 stack += [t, *pending]
                 continue
-            pos = memo[id(t.args[0])] if t.args else [0] * n
+            pos = memo[t.args[0]] if t.args else [0] * n
             for a in t.args[1:]:
-                pos = [p * size + q for p, q in zip(pos, memo[id(a)])]
-            memo[id(t)] = list(map(self.table(t.op).__getitem__, pos))
-        return [memo[id(t)] for t in terms]
+                pos = [p * size + q for p, q in zip(pos, memo[a])]
+            memo[t] = list(map(self.table(t.op).__getitem__, pos))
+        return [memo[t] for t in terms]
 
     def eval(self, term: Term, env: Mapping[int, int]) -> int:
         """The value of `term` under the assignment `env`."""

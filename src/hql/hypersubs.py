@@ -109,14 +109,6 @@ class HyperSub:
             for op, img in self.images
         )
 
-    def is_fundamental(self) -> bool:
-        """True iff every image is one symbol applied to variables only."""
-        return all(
-            isinstance(img, App)
-            and all(isinstance(a, Var) for a in img.args)
-            for _, img in self.images
-        )
-
     def is_symbol_renaming(self) -> bool:
         """True iff every image is a symbol over a permutation of x0..x_{n-1}."""
         for _, img in self.images:

@@ -646,12 +646,13 @@ def saturate(
     produces anything new anywhere.  Each candidate is a justification
     alone; its statement comes from `produced_statement`, the rules' one
     description, so every emitted item carries a checkable proof line.
-    Candidates that cannot pass the premise cap are not generated
-    (transitivity under a cap below two, compatibility for an operation of
-    higher arity, an extension of a line already at the cap), and a cut's
-    majors are looked up in an index from each premise to the lines that
-    have it.  Generation stops once
-    `max_items` refuses a candidate.  `truncated_by` names the cap that cut
+    Candidates that could never be admitted are not generated: transitivity
+    under a premise cap below two; compatibility for an operation of arity
+    above the premise cap, for a constant (it restates reflexivity), or with
+    an argument at the depth cap; an extension of a line already at the
+    premise cap.  A cut's majors are looked up in an index from each premise
+    to the lines that have it.  Generation stops once `max_items` refuses a
+    candidate.  `truncated_by` names the cap that cut
     growth short: "items" when `max_items` dropped an item, else
     "iterations" when the rounds ran out before a fixpoint; it is None at a
     fixpoint.
@@ -690,10 +691,12 @@ def saturate(
         if premise_count >= 2:
             for t, s, r in itertools.product(axiom_universe, repeat=3):
                 yield Trans(t, s, r)
+        # op(args) is one deeper than its deepest argument
+        shallow = [t for t in axiom_universe if term_depth(t) < term_depth_cap]
         for op, arity in theory.sig.ops:
-            if arity <= premise_count:
-                for lhs in itertools.product(axiom_universe, repeat=arity):
-                    for rhs in itertools.product(axiom_universe, repeat=arity):
+            if 1 <= arity <= premise_count:
+                for lhs in itertools.product(shallow, repeat=arity):
+                    for rhs in itertools.product(shallow, repeat=arity):
                         yield Compat(op, lhs, rhs)
 
     def extensible(line: int) -> bool:

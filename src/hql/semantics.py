@@ -165,18 +165,15 @@ class _DerivedAlgebras:
 
     A member's key is the tuple of its derived tables in signature order,
     which is its derived algebra's `tables`.  Tables are cached per
-    operation by the identity of the image object: preset monoids share one
-    object per admissible image, so each table is computed once per
-    distinct image, and `sigmas` keeps every image alive for the whole
-    call, so an id is never reused.  The checks cache their verdicts per
-    key, so thousands of members sharing a handful of derived algebras cost
-    a handful of checks.
+    operation by image, so each table is computed once per distinct image.
+    The checks cache their verdicts per key, so thousands of members
+    sharing a handful of derived algebras cost a handful of checks.
     """
 
     def __init__(self, algebra: FiniteAlgebra, monoid: Monoid):
         self.algebra = algebra
         self.sigmas = monoid.elements()
-        self._tables: list[dict[int, tuple[int, ...]]] = [{} for _ in algebra.sig.ops]
+        self._tables: list[dict[Term, tuple[int, ...]]] = [{} for _ in algebra.sig.ops]
         self._keys: list[tuple[tuple[int, ...], ...]] = []
 
     def members(self) -> Iterator[tuple[HyperSub, tuple]]:
@@ -187,9 +184,9 @@ class _DerivedAlgebras:
                 key = []
                 for (op, arity), tables in ops:
                     img = sigma.image(op)
-                    table = tables.get(id(img))
+                    table = tables.get(img)
                     if table is None:
-                        table = tables[id(img)] = self.algebra.term_table(img, arity)
+                        table = tables[img] = self.algebra.term_table(img, arity)
                     key.append(table)
                 keys.append(tuple(key))
             yield sigma, keys[n]

@@ -1,14 +1,19 @@
 """Signatures, terms, equations and variable substitutions.
 
 Everything in this module is an immutable value with structural equality;
-equality of terms is purely syntactic.  All operations are pure functions,
-so values can be shared freely between threads.
+equality of terms is purely syntactic.  Terms are hash-consed (Filliâtre &
+Conchon, *Type-safe modular hash-consing*, 2006): there is one object per
+distinct term, so equality of terms is identity, which coincides with
+structural equality, and hashing is O(1).  A term's depth is stored when it
+is built; its variable set and `term_key` are computed once, on first use.
+The intern tables live as long as the process.  All operations are pure
+functions, so values can be shared freely between threads.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from typing import Mapping, Union
 
 
@@ -36,6 +41,7 @@ class Signature:
         # lookup tables, not fields: equality, hash and repr stay on `ops`
         object.__setattr__(self, "_arity", dict(self.ops))
         object.__setattr__(self, "position", {op: i for i, (op, _) in enumerate(self.ops)})
+        object.__setattr__(self, "_valid", set())  # the terms `validate` accepted
 
     @classmethod
     def of(cls, _name: str = "", **ops: int) -> "Signature":
@@ -58,7 +64,7 @@ class Signature:
 
     def validate(self, term: "Term") -> None:
         """Raise TermError unless `term` is well formed over this signature."""
-        if isinstance(term, Var):
+        if term in self._valid or isinstance(term, Var):
             return
         n = self.arity(term.op)
         if len(term.args) != n:
@@ -67,47 +73,96 @@ class Signature:
             )
         for arg in term.args:
             self.validate(arg)
+        self._valid.add(term)
 
 
-@dataclass(frozen=True)
+def _refuse_assignment(self, name, value=None):
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _refuse_deletion(self, name):
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+_VARS: dict[int, "Var"] = {}
+_APPS: dict[tuple, "App"] = {}
+
+
 class Var:
     """Variable with a denumerable index, written x0, x1, ..."""
 
-    index: int
+    __slots__ = ("index", "_vars", "_key")
+    __match_args__ = ("index",)
+    _depth = 0
+
+    def __new__(cls, index: int) -> "Var":
+        term = _VARS.get(index)
+        if term is None:
+            term = object.__new__(cls)
+            object.__setattr__(term, "index", index)
+            object.__setattr__(term, "_vars", frozenset((index,)))
+            object.__setattr__(term, "_key", (0, index))
+            # of two threads building one term, both get the first stored:
+            # setdefault is atomic, as the key's hash and equality run no
+            # Python code
+            term = _VARS.setdefault(index, term)
+        return term
+
+    def __repr__(self) -> str:
+        return f"Var(index={self.index!r})"
+
+    def __reduce__(self):
+        return (Var, (self.index,))
+
+    __setattr__, __delattr__ = _refuse_assignment, _refuse_deletion
 
 
-@dataclass(frozen=True)
 class App:
     """Operation symbol applied to argument terms (constants have no args)."""
 
-    op: str
-    args: tuple["Term", ...] = ()
+    __slots__ = ("op", "args", "_depth", "_vars", "_key")
+    __match_args__ = ("op", "args")
+
+    def __new__(cls, op: str, args: tuple["Term", ...] = ()) -> "App":
+        term = _APPS.get((op, args))
+        if term is None:
+            term = object.__new__(cls)
+            object.__setattr__(term, "op", op)
+            object.__setattr__(term, "args", args)
+            object.__setattr__(term, "_depth", 1 + max([a._depth for a in args]) if args else 0)
+            object.__setattr__(term, "_vars", None)
+            object.__setattr__(term, "_key", None)
+            term = _APPS.setdefault((op, args), term)
+        return term
+
+    def __repr__(self) -> str:
+        return f"App(op={self.op!r}, args={self.args!r})"
+
+    def __reduce__(self):
+        return (App, (self.op, self.args))
+
+    __setattr__, __delattr__ = _refuse_assignment, _refuse_deletion
 
 
 Term = Union[Var, App]
 
 
+def _var_set(term: Term) -> frozenset[int]:
+    found = term._vars
+    if found is None:
+        found = frozenset().union(*map(_var_set, term.args))
+        object.__setattr__(term, "_vars", found)
+    return found
+
+
 def variables(term: Term) -> set[int]:
-    """Set of variable indices occurring in `term`."""
-    if isinstance(term, Var):
-        return {term.index}
-    out: set[int] = set()
-    for arg in term.args:
-        out |= variables(arg)
-    return out
+    """Set of variable indices occurring in `term` (a fresh set)."""
+    return set(_var_set(term))
 
 
 def term_depth(term: Term) -> int:
     """Nesting depth; variables and constants are depth 0."""
-    if isinstance(term, Var) or not term.args:
-        return 0
-    return 1 + max(term_depth(a) for a in term.args)
-
-
-def term_size(term: Term) -> int:
-    if isinstance(term, Var):
-        return 1
-    return 1 + sum(term_size(a) for a in term.args)
+    return term._depth
 
 
 def subst_vars(term: Term, mapping: Mapping[int, Term]) -> Term:
@@ -119,9 +174,11 @@ def subst_vars(term: Term, mapping: Mapping[int, Term]) -> Term:
 
 def term_key(term: Term):
     """Total syntactic order on terms (variables before applications)."""
-    if isinstance(term, Var):
-        return (0, term.index)
-    return (1, term.op, tuple(term_key(a) for a in term.args))
+    key = term._key
+    if key is None:
+        key = (1, term.op, tuple(map(term_key, term.args)))
+        object.__setattr__(term, "_key", key)
+    return key
 
 
 def format_term(term: Term) -> str:
@@ -157,10 +214,6 @@ class Substitution:
     @classmethod
     def of(cls, mapping: Mapping[int, Term]) -> "Substitution":
         return cls(tuple(mapping.items()))
-
-    @classmethod
-    def identity(cls) -> "Substitution":
-        return cls(())
 
     def as_dict(self) -> dict[int, Term]:
         return dict(self.bindings)

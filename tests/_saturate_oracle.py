@@ -1,7 +1,7 @@
-"""`saturate` as it was before it pruned candidates by the premise cap and
-found cuts through a premise index: every extension is built and refused
-after its statement, and each cut round tests frontier x all lines by
-scanning premise lists.  The differential reference for
+"""`saturate` as it was before it pruned candidates by the premise and
+depth caps and found cuts through a premise index: every extension and
+every compatibility instance is built and refused after its statement, and
+each cut round tests frontier x all lines by scanning premise lists.  The differential reference for
 `hql.proofs.saturate`; not used by the package."""
 
 from __future__ import annotations

@@ -2,6 +2,8 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -9,6 +11,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+import hql
 from hql.cli import main
 from hql.dsl import Workspace, tokenize
 from hql.fixtures import fixture_paths
@@ -375,6 +378,20 @@ def test_readme_command_matches_golden(case, head, tail, tmp_path, monkeypatch):
     monkeypatch.delenv("HQL_COLOR", raising=False)
     want = {p.name: p.read_bytes() for p in (GOLDEN / case).iterdir()}
     assert _golden_run(head, tail) == want
+
+
+@pytest.mark.parametrize("seed", ["0", "1"])
+def test_readme_commands_match_golden_under_hash_seed(seed):
+    # sets of terms iterate in address order and sets of strings in hash
+    # order; no output may follow either
+    src = str(Path(hql.__file__).parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path}
+    argv = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+            f"{__file__}::test_readme_command_matches_golden"]
+    done = subprocess.run(argv, env=env, cwd=Path(__file__).parents[1], capture_output=True, text=True,
+                          timeout=600)
+    assert done.returncode == 0, done.stdout + done.stderr
 
 
 def _run_readme_command(head, tail, which, content: bytes):

@@ -1,3 +1,10 @@
+import copy
+import operator
+import pickle
+import sys
+import threading
+from dataclasses import FrozenInstanceError
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -14,10 +21,12 @@ from hql.terms import (
     iter_terms,
     iter_terms_canonical,
     term_depth,
+    term_key,
     variables,
 )
 from hql.dsl import ParseError, parse_quasi, parse_term
 
+import _term_oracle as oracle
 from strategies import GRP, LAT, MIXED, substitutions, terms
 
 x0, x1, x2 = Var(0), Var(1), Var(2)
@@ -50,7 +59,7 @@ def test_validate_term():
 
 def test_identity_subst_is_noop():
     t = meet(x0, x1)
-    assert Substitution.identity().apply(t) == t
+    assert Substitution().apply(t) == t
     assert Substitution.of({0: x0}).apply(t) == t
 
 
@@ -68,8 +77,8 @@ def test_single_variable_substitution():
 
 def test_compose_identity_and_chain():
     delta = Substitution.of({0: meet(x0, x1)})
-    assert Substitution.identity().compose(delta) == delta
-    assert delta.compose(Substitution.identity()) == delta
+    assert Substitution().compose(delta) == delta
+    assert delta.compose(Substitution()) == delta
     d2 = Substitution.of({0: x1})
     d1 = Substitution.of({1: x2})
     assert d1.compose(d2).apply(Var(0)) == x2
@@ -77,7 +86,7 @@ def test_compose_identity_and_chain():
 
 def test_swap_composed_with_itself_is_identity():
     swap = Substitution.of({0: x1, 1: x0})
-    assert swap.compose(swap) == Substitution.identity()
+    assert swap.compose(swap) == Substitution()
 
 
 @settings(max_examples=200)
@@ -184,3 +193,120 @@ def test_iter_terms_canonical_first_occurrence_order():
             else:
                 stack = list(node.args) + stack
         assert seen == sorted(seen) == list(range(len(seen)))
+
+
+# -- hash-consing ---------------------------------------------------------------
+
+SIGS = [GRP, LAT, MIXED]
+ANY_TERM = st.sampled_from(SIGS).flatmap(lambda sig: terms(sig, max_depth=5))
+
+
+@settings(max_examples=200)
+@given(ANY_TERM, ANY_TERM)
+def test_terms_built_independently_are_one_object(t, s):
+    assert oracle.build(oracle.tree(t)) is t
+    assert (t is s) == (oracle.tree(t) == oracle.tree(s)) == (t == s)
+
+
+@settings(max_examples=200)
+@given(ANY_TERM)
+def test_cached_term_functions_match_recursive_references(t):
+    for _ in range(2):  # the first call may fill a cache, the second reads it
+        assert term_depth(t) == oracle.term_depth(t)
+        assert variables(t) == oracle.variables(t)
+        assert term_key(t) == oracle.term_key(t)
+
+
+def test_variables_returns_a_fresh_set():
+    t = meet(x0, join(x1, x0))
+    variables(t).add(7)
+    assert variables(t) == {0, 1}
+
+
+def _validate_error(validate, t):
+    try:
+        validate(t)
+    except TermError as err:
+        return str(err)
+    return None
+
+
+@settings(max_examples=200)
+@given(ANY_TERM, st.sampled_from(SIGS))
+def test_validate_matches_recursive_reference(t, sig):
+    want = _validate_error(lambda u: oracle.validate(sig, u), t)
+    for _ in range(2):  # the second call may answer from what the first accepted
+        assert _validate_error(sig.validate, t) == want
+
+
+def test_validation_is_remembered_per_signature():
+    unary = Signature.of("U", meet=1, join=2)
+    t = meet(x0, join(x1, x0))
+    for _ in range(2):
+        LAT.validate(t)
+        with pytest.raises(TermError, match="expects 1 argument"):
+            unary.validate(t)
+        with pytest.raises(TermError, match="unknown operation symbol 'meet'"):
+            GRP.validate(t)
+    # an invalid term raises on every call, though its valid argument is remembered
+    bad = meet(join(x0, x1), App("meet", (x0,)))
+    for _ in range(3):
+        with pytest.raises(TermError, match="expects 2 argument"):
+            LAT.validate(bad)
+    # what a signature remembers is not part of its value
+    assert LAT == Signature.of("other", meet=2, join=2)
+    assert hash(LAT) == hash(Signature.of("", meet=2, join=2))
+    assert repr(LAT) == "Signature(ops=(('meet', 2), ('join', 2)), name='LAT')"
+
+
+def test_term_repr_is_unchanged():
+    assert repr(meet(x0, App("c"))) == "App(op='meet', args=(Var(index=0), App(op='c', args=())))"
+    assert repr(x2) == "Var(index=2)"
+
+
+@settings(max_examples=100)
+@given(ANY_TERM)
+def test_pickle_and_copies_give_back_the_interned_term(t):
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(t, protocol)) is t
+    assert copy.copy(t) is t
+    assert copy.deepcopy(t) is t
+    eq = Equation(t, x0)
+    assert copy.deepcopy(eq).lhs is t
+    assert pickle.loads(pickle.dumps(eq)).lhs is t
+
+
+def test_assignment_raises():
+    t = meet(x0, x1)
+    for term, name in ((t, "op"), (t, "args"), (t, "unknown"), (x0, "index")):
+        with pytest.raises(FrozenInstanceError):
+            setattr(term, name, x2)
+        with pytest.raises(FrozenInstanceError):
+            delattr(term, name)
+    assert (t.op, t.args, x0.index) == ("meet", (x0, x1), 0)
+
+
+def test_threads_building_the_same_terms_get_identical_objects():
+    # more threads than cores and a short switch interval, so that threads
+    # often interleave between an intern table's miss and its insertion;
+    # fresh symbols and indices, so no one built these terms before
+    count, start = 4, threading.Barrier(4)
+    built: list = [None] * count
+
+    def build(slot):
+        start.wait()
+        built[slot] = [App("threaded", (Var(10_000 + i), App("threaded_c"))) for i in range(2_000)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build, args=(slot,)) for slot in range(count)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert all(len(made) == 2_000 for made in built)
+    assert all(all(map(operator.is_, built[0], other)) for other in built[1:])
