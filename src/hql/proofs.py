@@ -335,8 +335,9 @@ def hyperclose_detailed(
     for i, item in enumerate(theory.items):
         for sigma in monoid.elements():
             mapped = sigma.apply_quasi(item)
-            if mapped.key() not in seen:
-                seen.add(mapped.key())
+            key = mapped.key()
+            if key not in seen:
+                seen.add(key)
                 out.append((mapped, i, sigma))
     return out
 
@@ -562,17 +563,13 @@ def strip_to_q(proof: Proof, closed: Theory) -> Proof:
     if not is_normal(proof):
         raise ProofError(None, "proof is not normalised")
     index = {item.key(): k for k, item in enumerate(closed.items)}
-
-    def closed_hyp(quasi: QuasiEquation, lineno: int) -> Hyp:
-        k = index.get(quasi.key())
-        if k is None:
-            raise ProofError(lineno, "statement is not in the closed theory")
-        return Hyp(k)
-
     lines: list[tuple[QuasiEquation, Justification]] = []
     for i, (quasi, j) in enumerate(proof.lines):
         if isinstance(j, (Hyp, HypSub)):
-            lines.append((closed.items[closed_hyp(quasi, i).index], closed_hyp(quasi, i)))
+            k = index.get(quasi.key())
+            if k is None:
+                raise ProofError(i, "statement is not in the closed theory")
+            lines.append((closed.items[k], Hyp(k)))
         else:
             lines.append((quasi, j))
     out = Proof(closed, Logic.q(), tuple(lines), name=proof.name)
@@ -645,7 +642,8 @@ def saturate(
     only against the previous round's new items, so a fixpoint means no rule
     produces anything new anywhere.  Each candidate is a justification
     alone; its statement comes from `produced_statement`, the rules' one
-    description, so every emitted item carries a checkable proof line.
+    description, checked against the earlier lines as the checker does, and
+    an admitted item's proof line is that statement with its justification.
     Candidates that could never be admitted are not generated: transitivity
     under a premise cap below two; compatibility for an operation of arity
     above the premise cap, for a constant (it restates reflexivity), or with
@@ -659,9 +657,9 @@ def saturate(
     """
     require_one_signature((_named("theory", theory), theory.sig), (_named("monoid", monoid), monoid.sig))
     logic = Logic.mhq(monoid)
-    builder = ProofBuilder(theory, logic)
     known: set = set()  # the keys of the stated lines
-    order: list[QuasiEquation] = []  # the builder's stated lines; item i is line i
+    order: list[QuasiEquation] = []  # the stated lines; item i is line i
+    steps: list[tuple[QuasiEquation, Justification]] = []  # the proof lines
     having: dict[Equation, list[int]] = {}  # premise -> the lines that have it, ascending
     truncated_by = None
 
@@ -671,9 +669,9 @@ def saturate(
     def admit(j: Justification, quasi: QuasiEquation) -> None:
         for p in quasi.premises:
             having.setdefault(p, []).append(len(order))
-        builder.add(j)
         known.add(quasi.key())
         order.append(quasi)
+        steps.append((quasi, j))
 
     for k in range(len(theory.items)):
         quasi = statement(Hyp(k))
@@ -711,15 +709,14 @@ def saturate(
         found = having.get(order[minor].conclusion, [])
         return found[bisect.bisect_left(found, lines.start):bisect.bisect_left(found, lines.stop)]
 
-    all_identities: list[Equation] = []
-    seen_eq: set = set()
+    identities: dict[Equation, None] = {}  # every harvested identity, in harvest order
 
     def harvest(items) -> list[Equation]:
         fresh = []
         for q in items:
             for eq in (*q.premises, q.conclusion):
-                if eq not in seen_eq:
-                    seen_eq.add(eq)
+                if eq not in identities:
+                    identities[eq] = None
                     fresh.append(eq)
         return fresh
 
@@ -747,7 +744,7 @@ def saturate(
                         if delta.bindings:
                             yield Subst(base, delta)
                 if extensible(base):
-                    for eq in itertools.chain(all_identities, new_identities):
+                    for eq in identities:
                         yield Ext(base, eq)
             for base in older:
                 if extensible(base):
@@ -764,7 +761,6 @@ def saturate(
                 for major in majors(minor, frontier):
                     yield Cut(major=major, minor=minor)
 
-            all_identities.extend(new_identities)
             frontier = range(start, len(order))
             if not frontier:
                 return
@@ -786,4 +782,4 @@ def saturate(
         admit(j, quasi)
 
     result_theory = Theory(theory.sig, tuple(order), name=theory.name)
-    return SaturationResult(result_theory, builder.proof(), truncated_by)
+    return SaturationResult(result_theory, Proof(theory, logic, tuple(steps)), truncated_by)

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
-from typing import Iterator, Sequence, Union
+from typing import Callable, Iterator, Sequence, Union
 
 from .algebras import AlgebraError, FiniteAlgebra
 from .hypersubs import HyperSub, Monoid
@@ -165,9 +165,10 @@ class _DerivedAlgebras:
 
     A member's key is the tuple of its derived tables in signature order,
     which is its derived algebra's `tables`.  Tables are cached per
-    operation by image, so each table is computed once per distinct image.
-    The checks cache their verdicts per key, so thousands of members
-    sharing a handful of derived algebras cost a handful of checks.
+    operation by image, so each table is computed once per distinct image,
+    and keys are kept across the checks of one call.  Each check runs once
+    per distinct key, so thousands of members sharing a handful of derived
+    algebras cost a handful of checks.
     """
 
     def __init__(self, algebra: FiniteAlgebra, monoid: Monoid):
@@ -176,9 +177,14 @@ class _DerivedAlgebras:
         self._tables: list[dict[Term, tuple[int, ...]]] = [{} for _ in algebra.sig.ops]
         self._keys: list[tuple[tuple[int, ...], ...]] = []
 
-    def members(self) -> Iterator[tuple[HyperSub, tuple]]:
-        """(sigma, key) in canonical order; keys are computed on first visit."""
-        ops, keys = list(zip(self.algebra.sig.ops, self._tables)), self._keys
+    def results(
+        self, check: Callable[[FiniteAlgebra], CheckResult]
+    ) -> Iterator[tuple[HyperSub, CheckResult]]:
+        """(sigma, check(A^sigma)) in canonical order; keys are computed on
+        first visit and `check` runs once per distinct key."""
+        a, keys = self.algebra, self._keys
+        ops = list(zip(a.sig.ops, self._tables))
+        verdicts: dict[tuple, CheckResult] = {}
         for n, sigma in enumerate(self.sigmas):
             if n == len(keys):
                 key = []
@@ -186,26 +192,20 @@ class _DerivedAlgebras:
                     img = sigma.image(op)
                     table = tables.get(img)
                     if table is None:
-                        table = tables[img] = self.algebra.term_table(img, arity)
+                        table = tables[img] = a.term_table(img, arity)
                     key.append(table)
                 keys.append(tuple(key))
-            yield sigma, keys[n]
-
-    def get(self, key: tuple) -> FiniteAlgebra:
-        """The derived algebra with the tables `key`; equal to
-        `algebra.derived(sigma)` for every sigma with that key."""
-        a = self.algebra
-        return FiniteAlgebra(a.sig, a.universe, key, name=a.name)
+            key = keys[n]
+            verdict = verdicts.get(key)
+            if verdict is None:
+                verdict = verdicts[key] = check(FiniteAlgebra(a.sig, a.universe, key, name=a.name))
+            yield sigma, verdict
 
 
 def _hyper(derived: _DerivedAlgebras, quasi: QuasiEquation) -> CheckResult:
     """The first member whose derived algebra refutes `quasi` gets the
     witness of the classical check of sigma(quasi) in the algebra itself."""
-    verdicts: dict[tuple, bool] = {}
-    for sigma, key in derived.members():
-        ok = verdicts.get(key)
-        if ok is None:
-            ok = verdicts[key] = bool(satisfies(derived.get(key), quasi))
+    for sigma, ok in derived.results(lambda d: bool(satisfies(d, quasi))):
         if not ok:
             result = satisfies(derived.algebra, sigma.apply_quasi(quasi))
             result.sigma = sigma
@@ -274,11 +274,7 @@ def check_solidity(
     failures: list[SolidityFailure] = []
     for w in witnesses:
         derived = _DerivedAlgebras(w, monoid)
-        verdicts: dict[tuple, CheckResult] = {}
-        for sigma, key in derived.members():
-            if key not in verdicts:
-                verdicts[key] = satisfies_theory(derived.get(key), bases)
-            result = verdicts[key]
+        for sigma, result in derived.results(lambda d: satisfies_theory(d, bases)):
             if not result:
                 detail = replace(result, assignment=dict(result.assignment))
                 failures.append(SolidityFailure(w.name or "<unnamed>", sigma, detail))

@@ -524,6 +524,29 @@ def test_saturate_matches_oracle(ws, items, monoid, caps):
     assert got.truncated_by == want.truncated_by
 
 
+def test_saturate_states_each_line_once(ws, monkeypatch):
+    # the README saturation: each candidate's statement is built once, by
+    # the admission loop, and the proof lines need no second statement
+    import hql.proofs
+
+    calls = 0
+    produced = hql.proofs.produced_statement
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return produced(*args)
+
+    monkeypatch.setattr(hql.proofs, "produced_statement", counting)
+    theory, monoid = ws.theory("cancellation_demo"), ws.monoid("grp_pos")
+    result = saturate(theory, monoid, 1, 1, 8)
+    assert (len(result.theory.items), calls) == (153, 1538)
+    builder = ProofBuilder(theory, Logic.mhq(monoid))
+    for _, j in result.proof.lines:
+        builder.add(j)
+    assert builder.proof().lines == result.proof.lines
+
+
 def test_saturate_monotone_in_caps():
     small = saturate(THEORY, POS, term_depth_cap=0, premise_count=1, iterations=1)
     big = saturate(THEORY, POS, term_depth_cap=1, premise_count=2, iterations=1)

@@ -231,6 +231,41 @@ def test_semantic_bridge_hyper_iff_derived(ws):
             assert lhs == rhs
 
 
+def _count_calls(monkeypatch, module, name) -> list[int]:
+    count = [0]
+    inner = getattr(module, name)
+
+    def counting(*args):
+        count[0] += 1
+        return inner(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    return count
+
+
+def test_hyper_checks_each_distinct_derived_algebra_once(ws, monkeypatch):
+    import hql.semantics
+
+    count = _count_calls(monkeypatch, hql.semantics, "satisfies")
+    l2 = ws.algebra("l2")
+    monoid = Monoid.depth_slice(LAT, 2)
+    assert len(monoid.elements()) == 40_804
+    result = hyper_satisfies_theory(l2, ws.theory("lattice_laws"), monoid)
+    assert result.item == 1
+    # item 0 holds in all 16 distinct derived algebras; item 1 fails in the
+    # first member's, and sigma(item 1) is checked once for the witness
+    assert count[0] == 16 + 1 + 1
+
+
+def test_solidity_checks_each_distinct_derived_algebra_once(ws, monkeypatch):
+    import hql.semantics
+
+    count = _count_calls(monkeypatch, hql.semantics, "satisfies_theory")
+    assert check_solidity(ws.theory("flat_base"), [ws.algebra("f3")], ws.monoid("flat_zm")) is True
+    # the precondition, then one check per distinct derived algebra
+    assert count[0] == 1 + 2
+
+
 def test_solidity_iff_hyper_satisfaction_for_single_witness(ws):
     f3 = ws.algebra("f3")
     base = ws.theory("flat_base")
