@@ -2,10 +2,15 @@
 
 Every command loads one or more workspace files (order matters: later
 definitions may reference earlier ones), resolves named objects, runs one
-check or transformation, and reports either human-readable text or a JSON
-document (`--json`).  Exit codes are a stable contract: 0 the property
-holds / the command succeeded, 1 refuted or invalid with a witness, 2 for
-usage, parse or resolution errors.  Set HQL_COLOR=1 to colour verdicts.
+check or transformation, and returns a report: a JSON document (`--json`)
+and the human-readable lines printed without it.  Exit codes are a stable
+contract, decided in `main` by the report's `result` alone:
+
+    holds, ok, valid    0   the property holds / the command succeeded
+    fails, invalid      1   refuted or invalid, with a witness
+    (no report)         2   usage, parse or resolution errors
+
+Set HQL_COLOR=1 to colour verdicts.
 """
 
 from __future__ import annotations
@@ -30,7 +35,6 @@ from .hypersubs import MonoidError
 from .proofs import ProofError, check_proof, hyperclose, normalize, saturate
 from .semantics import (
     CounterExample,
-    SolidityReport,
     check_solidity,
     hyper_satisfies,
     hyper_satisfies_theory,
@@ -40,15 +44,15 @@ from .semantics import (
 )
 from .terms import TermError
 
+# The exit code of each report `result`.  A result missing here is an
+# internal error, which exits 2: exit 1 means "refuted".
+EXIT_CODES = {"holds": 0, "ok": 0, "valid": 0, "fails": 1, "invalid": 1}
+
 
 def _color(text: str, code: str) -> str:
     if os.environ.get("HQL_COLOR") == "1":
         return f"\033[{code}m{text}\033[0m"
     return text
-
-
-def _verdict(ok: bool) -> str:
-    return _color("HOLDS", "32") if ok else _color("FAILS", "31")
 
 
 def _sigma_text(sigma) -> str:
@@ -61,145 +65,111 @@ def _sigma_json(sigma) -> dict | None:
     return {op: format_term(img) for op, img in sigma.images}
 
 
-def _witness_json(cex: CounterExample, algebra: FiniteAlgebra) -> dict:
-    return {
+def _witness(cex: CounterExample, algebra: FiniteAlgebra) -> tuple[dict, list[str]]:
+    """A counterexample's JSON form and its human lines."""
+    universe = algebra.universe
+    env = sorted(cex.assignment.items())
+    witness = {
         "sigma": _sigma_json(cex.sigma),
-        "assignment": {
-            f"x{v}": algebra.universe[e] for v, e in sorted(cex.assignment.items())
-        },
+        "assignment": {f"x{v}": universe[e] for v, e in env},
         "failed": str(cex.failed),
-        "lhs": algebra.universe[cex.lhs_value],
-        "rhs": algebra.universe[cex.rhs_value],
+        "lhs": universe[cex.lhs_value],
+        "rhs": universe[cex.rhs_value],
         "item": cex.item,
         "label": cex.label,
     }
-
-
-def _witness_text(cex: CounterExample, algebra: FiniteAlgebra) -> list[str]:
-    out = []
-    if cex.item is not None:
-        out.append(f"  item:       #{cex.item}")
-    if cex.label:
-        out.append(f"  equation:   {cex.label}")
+    lines = [] if cex.item is None else [f"  item:       #{cex.item}"]
     if cex.sigma is not None:
-        out.append(f"  sigma:      {_sigma_text(cex.sigma)}")
-    env = ", ".join(
-        f"x{v} = {algebra.universe[e]}" for v, e in sorted(cex.assignment.items())
-    )
-    out.append(f"  assignment: {env}")
-    out.append(f"  failed:     {cex.failed}")
-    out.append(
-        f"  values:     {algebra.universe[cex.lhs_value]} != {algebra.universe[cex.rhs_value]}"
-    )
-    return out
+        lines.append(f"  sigma:      {_sigma_text(cex.sigma)}")
+    lines += [
+        "  assignment: " + ", ".join(f"x{v} = {universe[e]}" for v, e in env),
+        f"  failed:     {cex.failed}",
+        f"  values:     {witness['lhs']} != {witness['rhs']}",
+    ]
+    return witness, lines
 
 
 def _report(check: str, inputs: dict, result: str, **extra) -> dict:
     return {"schema": 1, "check": check, "inputs": inputs, "result": result, **extra}
 
 
-def _write_out(args, text: str) -> list[str]:
-    """Write `text` to `--out` if given; the human lines that report it."""
-    if not args.out:
-        return [text.rstrip()]
-    with open(args.out, "w", encoding="utf-8") as handle:
-        handle.write(text)
-    return [f"wrote {args.out}"]
+def _verdict(check: str, inputs: dict, head: str, witness) -> tuple[dict, list[str]]:
+    """A `holds` report, or a `fails` one when there is a `witness` (its
+    JSON form and its human lines); `head` names the question."""
+    if witness is None:
+        return _report(check, inputs, "holds", witness=None), [f"{head}: {_color('HOLDS', '32')}"]
+    witness_json, lines = witness
+    report = _report(check, inputs, "fails", witness=witness_json)
+    return report, [f"{head}: {_color('FAILS', '31')}", *lines]
 
 
-def _emit(report: dict, human: list[str], as_json: bool) -> None:
-    if as_json:
-        print(json.dumps(report, indent=2))
+def _artifact(
+    check: str, inputs: dict, args, text: str, *head: str, **extra
+) -> tuple[dict, list[str]]:
+    """An `ok` report for the artifact `text`.  The human lines are `head`,
+    then `text` itself, or a note that it went to `--out`."""
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        written = f"wrote {args.out}"
     else:
-        for line in human:
-            print(line)
+        written = text.rstrip()
+    return _report(check, inputs, "ok", **extra, out=args.out), [*head, written]
 
 
-def _target(ws: Workspace, args, algebra: FiniteAlgebra) -> tuple[str, object]:
-    """The --quasi or --theory object, which must be over the algebra's
-    signature."""
-    if getattr(args, "quasi", None):
-        kind = "quasi"
-        sig, target = ws.quasi(args.quasi)
-    elif getattr(args, "theory", None):
-        kind = "theory"
-        target = ws.theory(args.theory)
+def _target(ws: Workspace, args, algebra: FiniteAlgebra) -> tuple[str, str, object]:
+    """The --quasi or --theory option: its kind, name and object, which must
+    be over the algebra's signature."""
+    if args.quasi:
+        kind, name = "quasi", args.quasi
+        sig, target = ws.quasi(name)
+    else:
+        kind, name = "theory", args.theory
+        target = ws.theory(name)
         sig = target.sig
-    else:
-        raise ResolveError("target", "(--quasi or --theory required)")
-    require_one_signature(
-        (f"algebra {args.algebra}", algebra.sig), (f"{kind} {args.quasi or args.theory}", sig)
-    )
-    return kind, target
+    require_one_signature((f"algebra {args.algebra}", algebra.sig), (f"{kind} {name}", sig))
+    return kind, name, target
 
 
-def _cmd_check(ws: Workspace, args) -> int:
+def _cmd_check(ws: Workspace, args) -> tuple[dict, list[str]]:
     algebra = ws.algebra(args.algebra)
-    kind, target = _target(ws, args, algebra)
-    result = (
-        satisfies(algebra, target)
-        if kind == "quasi"
-        else satisfies_theory(algebra, target)
-    )
-    ok = bool(result)
-    report = _report(
+    kind, name, target = _target(ws, args, algebra)
+    result = satisfies(algebra, target) if kind == "quasi" else satisfies_theory(algebra, target)
+    return _verdict(
         "check",
-        {"algebra": args.algebra, kind: args.quasi or args.theory},
-        "holds" if ok else "fails",
-        witness=None if ok else _witness_json(result, algebra),
+        {"algebra": args.algebra, kind: name},
+        f"check {name} on {args.algebra}",
+        None if result else _witness(result, algebra),
     )
-    human = [f"check {args.quasi or args.theory} on {args.algebra}: {_verdict(ok)}"]
-    if not ok:
-        human += _witness_text(result, algebra)
-    _emit(report, human, args.json)
-    return 0 if ok else 1
 
 
-def _cmd_hypercheck(ws: Workspace, args) -> int:
+def _cmd_hypercheck(ws: Workspace, args) -> tuple[dict, list[str]]:
     algebra = ws.algebra(args.algebra)
     monoid = ws.monoid(args.monoid)
-    kind, target = _target(ws, args, algebra)
+    kind, name, target = _target(ws, args, algebra)
     result = (
         hyper_satisfies(algebra, target, monoid)
         if kind == "quasi"
         else hyper_satisfies_theory(algebra, target, monoid)
     )
-    ok = bool(result)
-    report = _report(
+    coverage = monoid.coverage_note()
+    return _verdict(
         "hypercheck",
-        {
-            "algebra": args.algebra,
-            kind: args.quasi or args.theory,
-            "monoid": args.monoid,
-            "coverage": monoid.coverage_note(),
-        },
-        "holds" if ok else "fails",
-        witness=None if ok else _witness_json(result, algebra),
+        {"algebra": args.algebra, kind: name, "monoid": args.monoid, "coverage": coverage},
+        f"hypercheck {name} on {args.algebra} under {args.monoid} ({coverage})",
+        None if result else _witness(result, algebra),
     )
-    human = [
-        f"hypercheck {args.quasi or args.theory} on {args.algebra} "
-        f"under {args.monoid} ({monoid.coverage_note()}): {_verdict(ok)}"
-    ]
-    if not ok:
-        human += _witness_text(result, algebra)
-    _emit(report, human, args.json)
-    return 0 if ok else 1
 
 
-def _cmd_derive(ws: Workspace, args) -> int:
+def _cmd_derive(ws: Workspace, args) -> tuple[dict, list[str]]:
     algebra = ws.algebra(args.algebra)
     sig, sigma = ws.hypersub(args.sigma)
     require_one_signature((f"algebra {args.algebra}", algebra.sig), (f"hypersub {args.sigma}", sig))
-    derived = algebra.derived(sigma)
-    human = _write_out(args, render_algebra_file(derived))
-    report = _report(
-        "derive", {"algebra": args.algebra, "sigma": args.sigma}, "ok", out=args.out
-    )
-    _emit(report, human, args.json)
-    return 0
+    text = render_algebra_file(algebra.derived(sigma))
+    return _artifact("derive", {"algebra": args.algebra, "sigma": args.sigma}, args, text)
 
 
-def _cmd_verify_proof(ws: Workspace, args) -> int:
+def _cmd_verify_proof(ws: Workspace, args) -> tuple[dict, list[str]]:
     proof = ws.proof(args.proof)
     try:
         check_proof(proof)
@@ -210,51 +180,41 @@ def _cmd_verify_proof(ws: Workspace, args) -> int:
             "invalid",
             witness={"line": None if exc.line is None else exc.line + 1, "reason": exc.reason},
         )
-        _emit(report, [f"proof {args.proof}: {_color('INVALID', '31')}", f"  {exc}"], args.json)
-        return 1
+        return report, [f"proof {args.proof}: {_color('INVALID', '31')}", f"  {exc}"]
     report = _report("verify-proof", {"proof": args.proof}, "valid", witness=None)
-    _emit(
-        report,
-        [f"proof {args.proof}: {_color('VALID', '32')} "
-         f"({len(proof.lines)} line(s), conclusion {proof.conclusion()})"],
-        args.json,
-    )
-    return 0
+    return report, [
+        f"proof {args.proof}: {_color('VALID', '32')} "
+        f"({len(proof.lines)} line(s), conclusion {proof.conclusion()})"
+    ]
 
 
-def _cmd_normalize_proof(ws: Workspace, args) -> int:
+def _cmd_normalize_proof(ws: Workspace, args) -> tuple[dict, list[str]]:
     proof = ws.proof(args.proof)
     normal = normalize(proof, expand_compat=args.expand_compat)
-    human = _write_out(args, render_proof_file(normal))
-    report = _report(
+    return _artifact(
         "normalize-proof",
         {"proof": args.proof},
-        "ok",
+        args,
+        render_proof_file(normal),
         lines=len(normal.lines),
         conclusion=str(normal.conclusion()),
-        out=args.out,
     )
-    _emit(report, human, args.json)
-    return 0
 
 
-def _cmd_hyperclose(ws: Workspace, args) -> int:
+def _cmd_hyperclose(ws: Workspace, args) -> tuple[dict, list[str]]:
     theory = ws.theory(args.theory)
     monoid = ws.monoid(args.monoid)
     closed = hyperclose(theory, monoid)
-    human = _write_out(args, render_theory_file(closed))
-    report = _report(
+    return _artifact(
         "hyperclose",
         {"theory": args.theory, "monoid": args.monoid},
-        "ok",
+        args,
+        render_theory_file(closed),
         items=len(closed.items),
-        out=args.out,
     )
-    _emit(report, human, args.json)
-    return 0
 
 
-def _cmd_saturate(ws: Workspace, args) -> int:
+def _cmd_saturate(ws: Workspace, args) -> tuple[dict, list[str]]:
     theory = ws.theory(args.theory)
     monoid = ws.monoid(args.monoid)
     result = saturate(
@@ -264,70 +224,55 @@ def _cmd_saturate(ws: Workspace, args) -> int:
         premise_count=args.premises,
         iterations=args.iterations,
     )
-    written = _write_out(args, render_theory_file(result.theory))
-    report = _report(
+    items = len(result.theory.items)
+    note = {"items": " [truncated by item cap]", "iterations": " [truncated by iteration cap]"}
+    caps = {"term_depth": args.term_depth, "premises": args.premises, "iterations": args.iterations}
+    return _artifact(
         "saturate",
-        {
-            "theory": args.theory,
-            "monoid": args.monoid,
-            "caps": {
-                "term_depth": args.term_depth,
-                "premises": args.premises,
-                "iterations": args.iterations,
-            },
-        },
-        "ok",
-        items=len(result.theory.items),
+        {"theory": args.theory, "monoid": args.monoid, "caps": caps},
+        args,
+        render_theory_file(result.theory),
+        f"saturated to {items} item(s)" + note.get(result.truncated_by, ""),
+        items=items,
         truncated=result.truncated,
         truncated_by=result.truncated_by,
-        out=args.out,
     )
-    note = {"items": " [truncated by item cap]", "iterations": " [truncated by iteration cap]"}
-    head = f"saturated to {len(result.theory.items)} item(s)" + note.get(result.truncated_by, "")
-    _emit(report, [head, *written], args.json)
-    return 0
 
 
-def _cmd_solid_check(ws: Workspace, args) -> int:
+def _cmd_solid_check(ws: Workspace, args) -> tuple[dict, list[str]]:
     theory = ws.theory(args.theory)
     monoid = ws.monoid(args.monoid)
     witnesses = [ws.algebra(name) for name in args.witnesses.split(",")]
     result = check_solidity(theory, witnesses, monoid)
-    ok = bool(result)
-    witness_json = None
-    human = [
-        f"solid-check {args.theory} with witnesses {args.witnesses} "
-        f"under {args.monoid} ({monoid.coverage_note()}): {_verdict(ok)}"
-    ]
-    if not ok:
-        assert isinstance(result, SolidityReport)
+    witness = None
+    if not result:
         first = result.failures[0]
-        algebra = next(w for w in witnesses if (w.name or "<unnamed>") == first.witness)
-        witness_json = {
-            "witness": first.witness,
-            "sigma": _sigma_json(first.sigma),
-            "detail": _witness_json(first.detail, algebra),
-            "failures": len(result.failures),
-        }
-        human.append(f"  witness algebra: {first.witness}")
-        human.append(f"  sigma:           {_sigma_text(first.sigma)}")
-        human += _witness_text(first.detail, algebra)
-    report = _report(
-        "solid-check",
-        {
-            "theory": args.theory,
-            "witnesses": args.witnesses,
-            "monoid": args.monoid,
-            "coverage": monoid.coverage_note(),
-        },
-        "holds" if ok else "fails",
-        witness=witness_json,
-    )
-    _emit(report, human, args.json)
-    return 0 if ok else 1
+        detail, lines = _witness(first.detail, ws.algebra(first.witness))
+        witness = (
+            {
+                "witness": first.witness,
+                "sigma": _sigma_json(first.sigma),
+                "detail": detail,
+                "failures": len(result.failures),
+            },
+            [
+                f"  witness algebra: {first.witness}",
+                f"  sigma:           {_sigma_text(first.sigma)}",
+                *lines,
+            ],
+        )
+    coverage = monoid.coverage_note()
+    inputs = {
+        "theory": args.theory,
+        "witnesses": args.witnesses,
+        "monoid": args.monoid,
+        "coverage": coverage,
+    }
+    head = f"solid-check {args.theory} with witnesses {args.witnesses} under {args.monoid}"
+    return _verdict("solid-check", inputs, f"{head} ({coverage})", witness)
 
 
-def _cmd_monoid(ws: Workspace, args) -> int:
+def _cmd_monoid(ws: Workspace, args) -> tuple[dict, list[str]]:
     monoid = ws.monoid(args.monoid)
     elements = monoid.elements()
     namer = SigmaNamer()
@@ -343,8 +288,7 @@ def _cmd_monoid(ws: Workspace, args) -> int:
             elements=[_sigma_json(s) for s in elements],
             coverage=monoid.coverage_note(),
         )
-        _emit(report, human, args.json)
-        return 0
+        return report, human
     index = {sigma: name for name, sigma in zip(names, elements)}
     table = []
     human = [f"monoid {args.monoid} composition table ({len(elements)} element(s)):"]
@@ -354,9 +298,7 @@ def _cmd_monoid(ws: Workspace, args) -> int:
             nc = index.get(c)
             table.append({"left": na, "right": nb, "result": nc})
             human.append(f"  {na} o {nb} = {nc or '<outside>'}")
-    report = _report("monoid-closure", {"monoid": args.monoid}, "ok", table=table)
-    _emit(report, human, args.json)
-    return 0
+    return _report("monoid-closure", {"monoid": args.monoid}, "ok", table=table), human
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -441,7 +383,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         ws = Workspace.load(args.files)
-        return args.func(ws, args)
+        report, human = args.func(ws, args)
+        code = EXIT_CODES[report["result"]]
+        print(json.dumps(report, indent=2) if args.json else "\n".join(human))
+        return code
     except (ParseError, ResolveError, TermError, MonoidError, AlgebraError, ProofError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

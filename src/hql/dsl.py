@@ -196,16 +196,15 @@ class _TermScope:
 
     def __init__(self, reserved: frozenset[str] = frozenset()):
         self.aliases: dict[str, int] = {}
-        self.alias_indices: set[int] = set()
         self.used: set[int] = set()
         self.reserved = reserved
 
     def explicit(self, index: int, reader: _Reader, tok: Token) -> int:
-        if index in self.alias_indices:
-            alias = next(a for a, i in self.aliases.items() if i == index)
-            raise reader.error(
-                f"variable x{index} collides with the alias {alias!r}", tok
-            )
+        for alias, i in self.aliases.items():
+            if i == index:
+                raise reader.error(
+                    f"variable x{index} collides with the alias {alias!r}", tok
+                )
         self.used.add(index)
         return index
 
@@ -216,7 +215,6 @@ class _TermScope:
         while idx in self.used:
             idx += 1
         self.aliases[name] = idx
-        self.alias_indices.add(idx)
         self.used.add(idx)
         return idx
 
@@ -451,7 +449,8 @@ class _BlockParser(_Reader):
                         raise self.error(
                             f"positional parameter {p!r} must be x{i}", op_tok
                         )
-                    scope.aliases[p] = i
+                    if not m:
+                        scope.aliases[p] = i
                     scope.used.add(i)
             elif arity != 0:
                 raise self.error(f"pattern for {op_tok.text!r} needs parameters", op_tok)

@@ -326,9 +326,12 @@ def iter_terms(sig: Signature, n_vars: int, max_depth: int) -> list[Term]:
 
 def iter_terms_canonical(sig: Signature, max_depth: int, max_vars: int) -> list[Term]:
     """Terms up to renaming: distinct variables appear as x0, x1, ... in
-    first-occurrence order.  At most `max_vars` distinct variables."""
+    first-occurrence order.  At most `max_vars` distinct variables.  Ordered
+    by depth, each depth in generation order."""
 
     def grow(depth: int, used: int) -> list[tuple[Term, int]]:
+        """Every term of depth <= `depth` after `used` variables, with the
+        number of variables used after it."""
         out: list[tuple[Term, int]] = []
         for i in range(min(used + 1, max_vars)):
             out.append((Var(i), max(used, i + 1)))
@@ -343,16 +346,7 @@ def iter_terms_canonical(sig: Signature, max_depth: int, max_vars: int) -> list[
                         for args, u in partial
                         for t, u2 in grow(depth - 1, u)
                     ]
-                for args, _u in partial:
-                    if max(term_depth(a) for a in args) == depth - 1:
-                        out.append((App(op, args), _u))
+                out += [(App(op, args), u) for args, u in partial]
         return out
 
-    seen: set[Term] = set()
-    result: list[Term] = []
-    for d in range(max_depth + 1):
-        for t, _ in grow(d, 0):
-            if term_depth(t) == d and t not in seen:
-                seen.add(t)
-                result.append(t)
-    return result
+    return sorted((t for t, _ in grow(max_depth, 0)), key=term_depth)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 
 import hql
-from hql.cli import main
+from hql.cli import EXIT_CODES, main
 from hql.dsl import Workspace, tokenize
 from hql.fixtures import fixture_paths
 from hql.proofs import check_proof
@@ -216,6 +216,39 @@ def test_solid_check_bad_witness_is_precondition_error(capsys, fixture_files):
     assert "f3_bad" in err
 
 
+def test_solid_check_fails_with_first_witness(capsys, fixture_files, monkeypatch):
+    monkeypatch.delenv("HQL_COLOR", raising=False)
+    code, out, _ = run(
+        capsys, "solid-check", *fixture_files, "--theory", "cancellation",
+        "--witnesses", "z3sub", "--monoid", "grp_proj",
+    )
+    assert code == 1
+    assert out == (
+        "solid-check cancellation with witnesses z3sub under grp_proj "
+        "(exhaustive over 3 element(s)): FAILS\n"
+        "  witness algebra: z3sub\n"
+        "  sigma:           mul -> x0\n"
+        "  item:       #1\n"
+        "  assignment: x0 = 0, x1 = 0, x2 = 1\n"
+        "  failed:     x1 = x2\n"
+        "  values:     0 != 1\n"
+    )
+
+
+def test_solid_check_json_counts_every_failure(capsys, fixture_files):
+    code, out, _ = run(
+        capsys, "solid-check", *fixture_files, "--theory", "lattice_laws",
+        "--witnesses", "l2,chain3", "--monoid", "lat_fund", "--json",
+    )
+    assert code == 1
+    report = json.loads(out)
+    assert report["result"] == "fails"
+    witness = report["witness"]
+    assert witness["witness"] == "l2"
+    assert witness["failures"] == 64
+    assert witness["detail"]["item"] == 1
+
+
 def test_monoid_list_and_closure(capsys, fixture_files):
     code, out, _ = run(capsys, "monoid", "list", *fixture_files, "--monoid", "grp_proj")
     assert code == 0
@@ -320,6 +353,18 @@ def test_unexpected_exception_exits_2(capsys, fixture_files, monkeypatch):
     assert err.startswith("error: internal error: ZeroDivisionError: boom")
 
 
+def test_unknown_result_exits_2(capsys, fixture_files, monkeypatch):
+    import hql.cli
+
+    monkeypatch.setattr(hql.cli, "_cmd_check", lambda ws, args: ({"result": "maybe"}, ["maybe"]))
+    code, out, err = run(
+        capsys, "check", *fixture_files, "--algebra", "z3sub", "--quasi", "right_cancellation"
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: internal error: KeyError: 'maybe'\n"
+
+
 def test_saturate_names_the_item_cap(capsys, fixture_files):
     code, out, _ = run(
         capsys, "saturate", *fixture_files, "--theory", "cancellation_demo",
@@ -378,6 +423,14 @@ def test_readme_command_matches_golden(case, head, tail, tmp_path, monkeypatch):
     monkeypatch.delenv("HQL_COLOR", raising=False)
     want = {p.name: p.read_bytes() for p in (GOLDEN / case).iterdir()}
     assert _golden_run(head, tail) == want
+
+
+def test_golden_exit_code_follows_result():
+    cases = sorted(GOLDEN.glob("*-json"))
+    assert len(cases) == len(README_COMMANDS)
+    for case in cases:
+        report = json.loads((case / "stdout").read_text())
+        assert (case / "exit").read_text() == f"{EXIT_CODES[report['result']]}\n", case.name
 
 
 @pytest.mark.parametrize("seed", ["0", "1"])

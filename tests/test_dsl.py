@@ -228,6 +228,8 @@ PARSE_ERRORS = [
      "t.hql:2:35: 'cap' cannot follow 'preset': a monoid takes one member list"),
     ("pattern_parameter", _S + "hypersub h over S { f(x1, x0) -> f(x0, x1); c -> c; }",
      "t.hql:2:21: positional parameter 'x1' must be x0"),
+    ("pattern_alias_collides_with_xN", _S + "hypersub h over S { f(a, b) -> f(a, x1); c -> c; }",
+     "t.hql:2:37: variable x1 collides with the alias 'b'"),
     ("bad_justification", _P + "2: f(x1, x0) = f(x0, x1) by swap 1\n",
      "t.hql:5:29: unknown justification 'swap'"),
     ("line_reference_out_of_range", _P + "2: f(x1, x0) = f(x0, x1) by subst 2 {x0 -> x1, x1 -> x0}\n",
@@ -345,6 +347,10 @@ def test_hypersub_pattern_aliases():
     ws2 = Workspace().load_text(text)
     _, sigma = ws2.hypersub("s")
     assert sigma.image("f") == App("f", (Var(1), Var(0)))
+    # a named parameter and a positional one may share a pattern
+    for pattern in ("f(x0, b) -> f(b, x0)", "f(a, x1) -> f(x1, a)"):
+        ws2 = Workspace().load_text(f"signature S {{ f/2; }}\nhypersub s over S {{ {pattern}; }}\n")
+        assert ws2.hypersub("s")[1].image("f") == App("f", (Var(1), Var(0)))
 
 
 def test_hypersub_requires_every_op():

@@ -180,19 +180,40 @@ def test_iter_terms_counts():
     assert len(iter_terms(GRP, 2, 2)) == 38
 
 
+def _first_occurrences(t) -> list[int]:
+    """The variable indices of `t`, each at its first occurrence."""
+    seen = []
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Var):
+            if node.index not in seen:
+                seen.append(node.index)
+        else:
+            stack.extend(reversed(node.args))
+    return seen
+
+
 def test_iter_terms_canonical_first_occurrence_order():
     for t in iter_terms_canonical(LAT, 2, 4):
-        vs = []
-        stack = [t]
-        seen = []
-        while stack:
-            node = stack.pop(0)
-            if isinstance(node, Var):
-                if node.index not in seen:
-                    seen.append(node.index)
-            else:
-                stack = list(node.args) + stack
-        assert seen == sorted(seen) == list(range(len(seen)))
+        seen = _first_occurrences(t)
+        assert seen == list(range(len(seen)))
+
+
+def test_iter_terms_canonical_is_every_canonical_term():
+    # depth 3 needs arguments of unequal depths >= 1, as in
+    # f(f(x0, x1), f(f(x0, x0), x0))
+    sig = Signature.of("S", f=2, c=0)
+    want = set()
+    for t in iter_terms(sig, 3, 3):
+        seen = _first_occurrences(t)
+        if seen == list(range(len(seen))):
+            want.add(t)
+    got = iter_terms_canonical(sig, 3, 3)
+    assert len(got) == len(want) == 27_935
+    assert set(got) == want
+    depths = [term_depth(t) for t in got]
+    assert depths == sorted(depths)
 
 
 # -- hash-consing ---------------------------------------------------------------
