@@ -69,6 +69,7 @@ from .terms import (
     Term,
     Var,
     format_term,
+    variables,
 )
 
 
@@ -207,6 +208,18 @@ class _TermScope:
                 )
         self.used.add(index)
         return index
+
+    def parameter(self, index: int, reader: _Reader, tok: Token, op_tok: Token) -> None:
+        """Bind the pattern parameter `tok` of `op_tok` to position `index`:
+        x<index> itself, or a name not bound yet."""
+        m = _VAR_RE.match(tok.text)
+        if m and int(m.group(1)) != index:
+            raise reader.error(f"positional parameter {tok.text!r} must be x{index}", op_tok)
+        if tok.text in self.aliases:
+            raise reader.error(f"repeated parameter {tok.text!r}", tok)
+        if not m:
+            self.aliases[tok.text] = index
+        self.used.add(index)
 
     def alias(self, name: str) -> int:
         if name in self.aliases:
@@ -433,9 +446,9 @@ class _BlockParser(_Reader):
             scope = _TermScope()
             if self.at("("):
                 self.next()
-                params: list[str] = []
+                params: list[Token] = []
                 while not self.at(")"):
-                    params.append(self.expect_kind("ident").text)
+                    params.append(self.expect_kind("ident"))
                     if self.at(","):
                         self.next()
                 self.expect(")")
@@ -444,18 +457,14 @@ class _BlockParser(_Reader):
                         f"pattern for {op_tok.text!r} needs {arity} parameter(s)", op_tok
                     )
                 for i, p in enumerate(params):
-                    m = _VAR_RE.match(p)
-                    if m and int(m.group(1)) != i:
-                        raise self.error(
-                            f"positional parameter {p!r} must be x{i}", op_tok
-                        )
-                    if not m:
-                        scope.aliases[p] = i
-                    scope.used.add(i)
+                    scope.parameter(i, self, p, op_tok)
             elif arity != 0:
                 raise self.error(f"pattern for {op_tok.text!r} needs parameters", op_tok)
             self.expect("->")
+            img_tok = self.peek()
             img = _parse_term(self, sig, scope)
+            if any(v >= arity for v in variables(img)):
+                raise self.error(f"image of {op_tok.text!r} uses variables beyond its arity {arity}", img_tok)
             if op_tok.text in images:
                 raise self.error(f"two images for {op_tok.text!r}", op_tok)
             images[op_tok.text] = img
@@ -641,7 +650,11 @@ class _BlockParser(_Reader):
             logic = Logic.hq()
         elif logic_tok.text == "MHQ":
             self.expect("(")
-            logic = Logic.mhq(self.ws.monoid(self.expect_kind("ident").text))
+            monoid_tok = self.expect_kind("ident")
+            monoid = self.ws.monoid(monoid_tok.text)
+            if monoid.sig != sig:
+                raise self.error("monoid signature differs from the proof signature", monoid_tok)
+            logic = Logic.mhq(monoid)
             self.expect(")")
         else:
             raise self.error(f"unknown logic {logic_tok.text!r}", logic_tok)
@@ -725,7 +738,7 @@ class _BlockParser(_Reader):
         if cls is Ext:
             return Ext(*refs, _parse_equation(self, sig, scope))
         if cls is HypSub:
-            return HypSub(*refs, self.ws.hypersub(self.expect_kind("ident").text)[1])
+            return HypSub(*refs, self._sigma_by_name(self.expect_kind("ident").text, sig))
         return cls(*refs)  # cut, mp
 
 

@@ -23,6 +23,13 @@ fixed orderings (variables ascending, elements in universe order, monoid
 members in canonical order).  Everything is pure; internal sweeps could be
 parallelised as long as the first-in-order witness is the one reported.
 The algebra, theory and monoid of one check must share one signature.
+
+The flat-algebra checks hold at every term depth and are decided from one
+level: zero absorption by the zero-semilattice equations themselves (each
+operation absorbs zero in every position, so by induction every term
+does), and basic-term preservation under a symbol renaming by the depth-1
+basic terms (a renaming keeps a spine position exactly when it keeps it at
+depth 1).
 """
 
 from __future__ import annotations
@@ -41,8 +48,6 @@ from .terms import (
     Term,
     Var,
     as_quasi,
-    iter_terms_canonical,
-    subst_vars,
     variables,
 )
 
@@ -369,30 +374,22 @@ def is_compatible(algebra: FiniteAlgebra, meet: str, zero: str) -> CheckResult:
     )
 
 
-def check_absorption(
-    algebra: FiniteAlgebra, meet: str, zero: str, depth_max: int
-) -> CheckResult:
-    """Plugging the zero element into any variable of any non-variable term
-    must evaluate to zero, for every assignment of the other variables.
+def check_absorption(algebra: FiniteAlgebra, meet: str, zero: str) -> CheckResult:
+    """Plugging the zero element into any variable of any term evaluates to
+    zero, for every assignment of the other variables and at every depth.
 
-    Terms are enumerated canonically up to renaming; variable-free terms
-    have no position to plug and are vacuous.
+    The precondition `is_zero_semilattice` decides it: its absorption
+    equations say op(..., zero, ...) = zero for every operation and every
+    argument position, so by induction on the term, a term with zero in
+    one of its variables is zero (a variable is zero itself; an
+    application has zero in some argument, which absorbs it).  A failed
+    precondition is reported by name; otherwise the answer is True.
     """
     pre = is_zero_semilattice(algebra, meet, zero)
     if not pre:
         raise AlgebraError(
             f"not a zero-semilattice algebra (fails {pre.label})"
         )
-    zero_idx = algebra.table(zero)[0]
-    max_vars = algebra.sig.max_arity() ** max(depth_max, 1)
-    for term in iter_terms_canonical(algebra.sig, depth_max, max_vars):
-        for plugged in sorted(variables(term)):
-            result = satisfies(algebra, Equation(subst_vars(term, {plugged: App(zero)}), App(zero)))
-            if not result:
-                result.assignment[plugged] = zero_idx
-                result.failed = Equation(term, App(zero))
-                result.label = f"zero-absorption x{plugged}"
-                return result
     return True
 
 
@@ -482,24 +479,28 @@ def classify_basic(term: Term, x: int) -> int | None:
 
 
 def check_basic_preservation(
-    sigma: HyperSub, sig: Signature, depth_max: int, x: int = 0, pool: Sequence[int] | None = None
+    sigma: HyperSub, sig: Signature, x: int = 0, pool: Sequence[int] | None = None
 ) -> Union[bool, BasicTermFailure]:
-    """Does the hypersubstitution send every basic term of depth <= depth_max
-    to a basic term of equal depth?
+    """Does the hypersubstitution send every basic term to a basic term of
+    equal depth, at every depth?
 
     Requires symbol-renaming images (one symbol over a permutation of its
-    variables); anything else is a precondition violation.
+    variables); anything else is a precondition violation.  The depth-1
+    basic terms decide it: the image g(x_p(0), ...) of op keeps op's
+    argument at position i exactly when i is below g's arity, so a basic
+    term of any depth keeps its spine exactly when the depth-1 term of each
+    of its slots does.  The first failing depth-1 term is reported, which
+    is the first failure of a sweep upward in depth.
     """
     if not sigma.is_symbol_renaming():
         raise ValueError(
             "preservation check requires symbol-renaming images"
         )
     if pool is None:
-        pool = range(1000, 1000 + sig.max_arity() * max(depth_max, 1))
-    for depth in range(depth_max + 1):
-        for term in basic_terms(sig, x, depth, pool):
-            mapped = sigma.apply(term)
-            got = classify_basic(mapped, x)
-            if got != depth:
-                return BasicTermFailure(term, mapped, depth, got)
+        pool = range(1000, 1000 + sig.max_arity())
+    for term in basic_terms(sig, x, 1, pool):
+        mapped = sigma.apply(term)
+        got = classify_basic(mapped, x)
+        if got != 1:
+            return BasicTermFailure(term, mapped, 1, got)
     return True

@@ -322,31 +322,3 @@ def iter_terms(sig: Signature, n_vars: int, max_depth: int) -> list[Term]:
                 nxt.append(App(op, args))
         layer = nxt
     return layer
-
-
-def iter_terms_canonical(sig: Signature, max_depth: int, max_vars: int) -> list[Term]:
-    """Terms up to renaming: distinct variables appear as x0, x1, ... in
-    first-occurrence order.  At most `max_vars` distinct variables.  Ordered
-    by depth, each depth in generation order."""
-
-    def grow(depth: int, used: int) -> list[tuple[Term, int]]:
-        """Every term of depth <= `depth` after `used` variables, with the
-        number of variables used after it."""
-        out: list[tuple[Term, int]] = []
-        for i in range(min(used + 1, max_vars)):
-            out.append((Var(i), max(used, i + 1)))
-        for op, n in sig.ops:
-            if n == 0:
-                out.append((App(op), used))
-            elif depth > 0:
-                partial: list[tuple[tuple[Term, ...], int]] = [((), used)]
-                for _ in range(n):
-                    partial = [
-                        (args + (t,), u2)
-                        for args, u in partial
-                        for t, u2 in grow(depth - 1, u)
-                    ]
-                out += [(App(op, args), u) for args, u in partial]
-        return out
-
-    return sorted((t for t, _ in grow(max_depth, 0)), key=term_depth)

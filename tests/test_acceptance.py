@@ -101,10 +101,10 @@ def test_c04_flat_solidity(ws):
     zm = ws.monoid("flat_zm")
     assert zm.image_depth == 2
     assert check_solidity(base, [f3], zm) is True
-    assert check_absorption(f3, "meet", "zero", 2) is True
+    assert check_absorption(f3, "meet", "zero") is True
     elapsed = time.perf_counter() - t0
     assert elapsed < 30.0
-    report(4, f"flat fixture solid under {len(zm.elements())} zero/meet-preserving maps; absorption exhaustive ({elapsed:.3f}s)")
+    report(4, f"flat fixture solid under {len(zm.elements())} zero/meet-preserving maps; zero absorbed at every depth ({elapsed:.3f}s)")
 
 
 def test_c05_basic_term_preservation(ws):
@@ -114,7 +114,7 @@ def test_c05_basic_term_preservation(ws):
     pool = list(range(100, 130))
     total = 0
     for sigma in zmf.elements():
-        assert check_basic_preservation(sigma, flat, 4) is True
+        assert check_basic_preservation(sigma, flat) is True
         for depth in range(5):
             for term in basic_terms(flat, 0, depth, pool):
                 assert classify_basic(sigma.apply(term), 0) == depth

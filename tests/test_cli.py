@@ -425,6 +425,29 @@ def test_readme_command_matches_golden(case, head, tail, tmp_path, monkeypatch):
     assert _golden_run(head, tail) == want
 
 
+# HQL_COLOR=1: the verdict word of the head line in colour, exit code as
+# without it; --json stays plain.
+COLOR_CASES = [
+    ("check_holds", ["check", "--algebra", "z3sub", "--quasi", "right_cancellation"], 0,
+     "check right_cancellation on z3sub: \033[32mHOLDS\033[0m"),
+    ("check_fails", ["check", "--algebra", "l2", "--quasi", "distrib_alt"], 1,
+     "check distrib_alt on l2: \033[31mFAILS\033[0m"),
+    ("verify_proof", ["verify-proof", "--proof", "swap_after_subst"], 0,
+     "proof swap_after_subst: \033[32mVALID\033[0m (3 line(s), conclusion "
+     "mul(mul(x0, x0), x0) = mul(mul(x0, x0), x1) => x0 = x1)"),
+]
+
+
+@pytest.mark.parametrize("argv, code, head", [c[1:] for c in COLOR_CASES], ids=[c[0] for c in COLOR_CASES])
+def test_color_marks_the_verdict(argv, code, head, capsys, fixture_files, monkeypatch):
+    monkeypatch.setenv("HQL_COLOR", "1")
+    got, out, _ = run(capsys, argv[0], *fixture_files, *argv[1:])
+    assert (got, out.splitlines()[0]) == (code, head)
+    got, out, _ = run(capsys, argv[0], *fixture_files, *argv[1:], "--json")
+    assert got == code and "\033" not in out
+    assert json.loads(out)["schema"] == 1
+
+
 def test_golden_exit_code_follows_result():
     cases = sorted(GOLDEN.glob("*-json"))
     assert len(cases) == len(README_COMMANDS)

@@ -230,6 +230,10 @@ PARSE_ERRORS = [
      "t.hql:2:21: positional parameter 'x1' must be x0"),
     ("pattern_alias_collides_with_xN", _S + "hypersub h over S { f(a, b) -> f(a, x1); c -> c; }",
      "t.hql:2:37: variable x1 collides with the alias 'b'"),
+    ("pattern_repeated_parameter", _S + "hypersub h over S { f(a, a) -> f(a, x0); c -> c; }",
+     "t.hql:2:26: repeated parameter 'a'"),
+    ("image_beyond_arity", _S + "hypersub h over S { f(a, b) -> f(a, d); c -> c; }",
+     "t.hql:2:32: image of 'f' uses variables beyond its arity 2"),
     ("bad_justification", _P + "2: f(x1, x0) = f(x0, x1) by swap 1\n",
      "t.hql:5:29: unknown justification 'swap'"),
     ("line_reference_out_of_range", _P + "2: f(x1, x0) = f(x0, x1) by subst 2 {x0 -> x1, x1 -> x0}\n",
@@ -246,6 +250,9 @@ PARSE_ERRORS = [
      "t.hql:3:14: unknown signature 'NOPE'"),
     ("unknown_logic", _T + "proof p over S in R from T\n",
      "t.hql:3:19: unknown logic 'R'"),
+    ("proof_monoid_signature",
+     _T + "signature R { g/1; }\nmonoid M over R { preset trivial; }\nproof p over S in MHQ(M) from T\n",
+     "t.hql:5:23: monoid signature differs from the proof signature"),
 ]
 
 
@@ -293,6 +300,10 @@ RESOLVE_ERRORS = [
     ("monoid_elements", _S + "monoid M over S { elements nosuch; }", "unknown hypersub 'nosuch'"),
     ("monoid_wrong_signature",
      _S + "signature R { g/1; }\nhypersub h over R { g(x0) -> x0; }\nmonoid M over S { generators h; }",
+     "unknown hypersub 'h (wrong signature)'"),
+    ("hypsub_wrong_signature",
+     _P.replace("proof", "signature R { g/1; }\nhypersub h over R { g(x0) -> x0; }\nproof")
+     + "2: f(x1, x0) = f(x0, x1) by hypsub 1 h\n",
      "unknown hypersub 'h (wrong signature)'"),
 ]
 

@@ -1,4 +1,5 @@
 import itertools
+import timeit
 from dataclasses import replace
 
 import hypothesis.strategies as st
@@ -25,6 +26,7 @@ from hql.semantics import (
 from hql.terms import App, Equation, QuasiEquation, Signature, Var, variables
 
 import _eval_oracle
+import _flat_oracle
 import _hyper_oracle as oracle
 from strategies import GRP, LAT, MIXED, quasis, random_algebras
 
@@ -489,12 +491,12 @@ def test_classifier_rejects_non_basic(ws):
 
 def test_preservation_identity_and_permutation(ws):
     flat = ws.signature("FLAT")
-    assert check_basic_preservation(HyperSub.identity(flat), flat, 3) is True
+    assert check_basic_preservation(HyperSub.identity(flat), flat) is True
     perm = HyperSub.of(
         flat,
         {"meet": App("meet", (x0, x1)), "zero": App("zero"), "f": App("meet", (x1, x0))},
     )
-    assert check_basic_preservation(perm, flat, 4) is True
+    assert check_basic_preservation(perm, flat) is True
 
 
 def test_preservation_guards_precondition(ws):
@@ -508,18 +510,96 @@ def test_preservation_guards_precondition(ws):
         },
     )
     with pytest.raises(ValueError):
-        check_basic_preservation(nonfund, flat, 2)
+        check_basic_preservation(nonfund, flat)
 
 
 def test_absorption_exhaustive_depth_two(ws):
-    assert check_absorption(ws.algebra("f3"), "meet", "zero", 2) is True
+    f3 = ws.algebra("f3")
+    assert check_absorption(f3, "meet", "zero") is True
+    assert _flat_oracle.check_absorption(f3, "meet", "zero", 2) is True
+    # no term sweep: the precondition alone decides every depth
+    assert min(timeit.repeat(lambda: check_absorption(f3, "meet", "zero"), number=1, repeat=3)) < 0.005
 
 
 def test_absorption_precondition(ws):
     with pytest.raises(AlgebraError):
-        check_absorption(ws.algebra("f3_bad"), "meet", "zero", 2)
+        check_absorption(ws.algebra("f3_bad"), "meet", "zero")
 
 
-def test_absorption_depth_zero_is_vacuous(ws):
-    # depth-0 non-variable terms are constants: nothing to plug into
-    assert check_absorption(ws.algebra("f3"), "meet", "zero", 0) is True
+# -- differential: the one-level flat checks vs the depth-bounded sweeps ------
+
+FLAT = Signature.of("FLAT", meet=2, zero=0, f=2)
+FLAT_UT = Signature.of("FLAT_UT", meet=2, zero=0, g=1, h=3)
+
+
+def _absorption_outcome(check, algebra, *depth):
+    try:
+        return check(algebra, "meet", "zero", *depth)
+    except AlgebraError as exc:
+        return f"AlgebraError: {exc}"
+
+
+def test_absorption_matches_sweep_on_every_size_two_algebra():
+    # 512 algebras, the zero either element; 4 pass the precondition
+    passed = 0
+    for a in all_algebras(FLAT, 2):
+        got = _absorption_outcome(check_absorption, a)
+        assert got == _absorption_outcome(_flat_oracle.check_absorption, a, 2)
+        passed += got is True
+    assert passed == 4
+
+
+@st.composite
+def zero_absorbing_algebras(draw, sig):
+    """Size-3 algebras whose operations all absorb the zero; meet is flat
+    (distinct elements meet in zero) about half the time, so a good share
+    are zero-semilattices."""
+    size, zero = 3, draw(st.integers(0, 2))
+    tables = {}
+    for op, n in sig.ops:
+        cells = list(itertools.product(range(size), repeat=n))
+        if op == "zero":
+            table = [zero]
+        elif op == "meet" and draw(st.booleans()):
+            table = [a if a == b else zero for a, b in cells]
+        else:
+            table = draw(st.lists(st.integers(0, size - 1), min_size=len(cells), max_size=len(cells)))
+        tables[op] = [zero if zero in args else v for args, v in zip(cells, table)]
+    return FiniteAlgebra.of(sig, [str(i) for i in range(size)], tables, name="a")
+
+
+# Depth 1 for FLAT_UT: its depth-2 terms number 234,124 up to renaming.
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(FLAT, 2), (FLAT_UT, 1)]).flatmap(
+    lambda sd: st.tuples(zero_absorbing_algebras(sd[0]), st.just(sd[1]))))
+def test_absorption_matches_sweep_on_zero_absorbing_algebras(case):
+    algebra, depth = case
+    assert _absorption_outcome(check_absorption, algebra) == _absorption_outcome(
+        _flat_oracle.check_absorption, algebra, depth
+    )
+
+
+def symbol_renamings(sig):
+    """Every hypersubstitution whose images are each one symbol, of arity at
+    most the operation's, over a permutation of its variables."""
+    choices = [
+        [App(g, tuple(map(Var, perm))) for g, m in sig.ops if m <= n for perm in itertools.permutations(range(m))]
+        for _, n in sig.ops
+    ]
+    for images in itertools.product(*choices):
+        yield HyperSub.of(sig, dict(zip(sig.op_names, images)))
+
+
+def test_preservation_matches_sweep_on_every_symbol_renaming():
+    sigmas = failures = 0
+    for sig in (Signature.of("A", f=2, g=1, c=0), FLAT, Signature.of("B", h=3, f=2, g=1)):
+        for sigma in symbol_renamings(sig):
+            got = check_basic_preservation(sigma, sig)
+            assert repr(got) == repr(_flat_oracle.check_basic_preservation(sigma, sig, 4))
+            # a renaming preserves basic terms iff it keeps every arity
+            assert bool(got) == all(
+                n == 0 or len(sigma.image(op).args) == n for op, n in sig.ops
+            )
+            sigmas += 1
+            failures += got is not True
+    assert (sigmas, failures) == (60, 30)

@@ -19,7 +19,6 @@ from hql.terms import (
     Var,
     format_term,
     iter_terms,
-    iter_terms_canonical,
     term_depth,
     term_key,
     variables,
@@ -27,6 +26,7 @@ from hql.terms import (
 from hql.dsl import ParseError, parse_quasi, parse_term
 
 import _term_oracle as oracle
+from _flat_oracle import iter_terms_canonical
 from strategies import GRP, LAT, MIXED, substitutions, terms
 
 x0, x1, x2 = Var(0), Var(1), Var(2)
