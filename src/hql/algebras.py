@@ -8,10 +8,19 @@ constant's table is a single entry.
 Elements are referenced by index internally and by label at the text
 boundary.  Values are immutable after construction and evaluation is pure,
 so evaluations over disjoint assignments may run concurrently.
+
+One evaluator, `FiniteAlgebra.values`, evaluates terms bottom-up over
+columns of assignments.  A derived table is one `values` call over the
+assignment grid of its arity, whose columns are built once per (universe
+size, arity) and shared.  A caller may pass `values` a memo of the tables
+already known over the same columns, so the table of f(t1, ..., tk) is f
+applied to the tables of the ti, and one check evaluates each subterm
+shared by its images once.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Sequence
@@ -21,6 +30,14 @@ from .terms import Signature, Term, Var
 
 # Most assignments evaluated together by one `FiniteAlgebra.values` call.
 BLOCK = 4096
+
+
+@functools.lru_cache(maxsize=None)
+def grid(size: int, n: int) -> tuple[tuple[int, ...], ...]:
+    """The columns of all size**n assignments to x0..x(n-1), in
+    lexicographic order: column i holds the values of xi.  Built once per
+    (size, n); callers keep size**n within BLOCK."""
+    return tuple(zip(*itertools.product(range(size), repeat=n)))
 
 
 class AlgebraError(ValueError):
@@ -82,12 +99,19 @@ class FiniteAlgebra:
             raise AlgebraError(f"no table for operation {op!r}")
         return self.tables[i]
 
-    def values(self, terms: Sequence[Term], columns: Mapping[int, Sequence[int]]) -> list[list[int]]:
+    def values(
+        self,
+        terms: Sequence[Term],
+        columns: Mapping[int, Sequence[int]],
+        memo: dict[Term, tuple[int, ...]] | None = None,
+    ) -> list[tuple[int, ...]]:
         """Each term's value at every position, where `columns` maps each
         variable to its values, one per position.  Bottom-up with an
-        explicit stack; a node shared between terms is evaluated once."""
+        explicit stack; a node shared between terms is evaluated once.
+        `memo` holds the values already known at these same positions, keyed
+        by term; the call reads it and fills it in."""
         size, n = self.size, len(next(iter(columns.values()), [0]))
-        memo: dict[Term, list[int]] = {}
+        memo = {} if memo is None else memo
         stack = list(terms)
         while stack:
             t = stack.pop()
@@ -96,7 +120,7 @@ class FiniteAlgebra:
             if isinstance(t, Var):
                 if t.index not in columns:
                     raise AlgebraError(f"unassigned variable x{t.index}")
-                memo[t] = list(columns[t.index])
+                memo[t] = tuple(columns[t.index])
                 continue
             pending = [a for a in t.args if a not in memo]
             if pending:
@@ -105,17 +129,26 @@ class FiniteAlgebra:
             pos = memo[t.args[0]] if t.args else [0] * n
             for a in t.args[1:]:
                 pos = [p * size + q for p, q in zip(pos, memo[a])]
-            memo[t] = list(map(self.table(t.op).__getitem__, pos))
+            memo[t] = tuple(map(self.table(t.op).__getitem__, pos))
         return [memo[t] for t in terms]
 
     def eval(self, term: Term, env: Mapping[int, int]) -> int:
         """The value of `term` under the assignment `env`."""
         return self.values([term], {v: [a] for v, a in env.items()})[0][0]
 
-    def term_table(self, term: Term, arity: int) -> tuple[int, ...]:
+    def term_table(
+        self, term: Term, arity: int, memo: dict[Term, tuple[int, ...]] | None = None
+    ) -> tuple[int, ...]:
         """The `arity`-ary term operation of `term` (over x0..x_{arity-1}),
-        as a flat row-major table."""
-        return tuple(v for c in self.blocks(range(arity)) for v in self.values([term], c)[0])
+        as a flat row-major table.  `memo` maps terms to their tables at
+        this arity and is filled in: with every subterm when the table fits
+        one block, with the finished table alone when it does not."""
+        if self.size**arity <= BLOCK:
+            return self.values([term], dict(enumerate(grid(self.size, arity))), memo)[0]
+        memo = {} if memo is None else memo
+        if term not in memo:
+            memo[term] = tuple(v for c in self.blocks(range(arity)) for v in self.values([term], c)[0])
+        return memo[term]
 
     def derived(self, sigma: HyperSub) -> "FiniteAlgebra":
         """Reinterpret every operation as the term operation of its image."""
@@ -129,18 +162,19 @@ class FiniteAlgebra:
         for values in itertools.product(range(self.size), repeat=len(vs)):
             yield dict(zip(vs, values))
 
-    def blocks(self, variables: Sequence[int]) -> Iterator[dict[int, list[int]]]:
+    def blocks(self, variables: Sequence[int]) -> Iterator[dict[int, tuple[int, ...]]]:
         """Columns for `values` that together cover every assignment to the
         given variables, in the order of `assignments`, at most BLOCK per
         block: memory stays flat and a refutation stops after the block of
-        its witness.  The trailing variables vary inside a block."""
+        its witness.  The trailing variables vary inside a block, over the
+        cached grid."""
         vs, inner = sorted(variables), 0
         while inner < len(vs) and self.size ** (inner + 1) <= BLOCK:
             inner += 1
-        split, rows = len(vs) - inner, itertools.product(range(self.size), repeat=inner)
-        trailing = dict(zip(vs[split:], map(list, zip(*rows))))
+        split = len(vs) - inner
+        trailing = dict(zip(vs[split:], grid(self.size, inner)))
         for fixed in self.assignments(vs[:split]):
-            yield {**{v: [a] * self.size**inner for v, a in fixed.items()}, **trailing}
+            yield {**{v: (a,) * self.size**inner for v, a in fixed.items()}, **trailing}
 
 
 def all_algebras(sig: Signature, size: int) -> Iterator[FiniteAlgebra]:

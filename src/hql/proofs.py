@@ -310,7 +310,11 @@ def produced_statement(
 
 
 def check_proof(proof: Proof) -> None:
-    """Single forward pass; raises ProofError at the first bad line."""
+    """Single forward pass; raises ProofError at the first bad line, and
+    AlgebraError when the proof monoid is over another signature."""
+    monoid = proof.logic.monoid
+    if monoid is not None:
+        require_one_signature((_named("theory", proof.theory), proof.sig), (_named("monoid", monoid), monoid.sig))
     stated = [q for q, _ in proof.lines]
     for i, (quasi, j) in enumerate(proof.lines):
         for p in (*quasi.premises, quasi.conclusion):

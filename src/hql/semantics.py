@@ -169,17 +169,18 @@ class _DerivedAlgebras:
     shared by the checks of one call.
 
     A member's key is the tuple of its derived tables in signature order,
-    which is its derived algebra's `tables`.  Tables are cached per
-    operation by image, so each table is computed once per distinct image,
-    and keys are kept across the checks of one call.  Each check runs once
-    per distinct key, so thousands of members sharing a handful of derived
-    algebras cost a handful of checks.
+    which is its derived algebra's `tables`.  Tables are cached per arity,
+    by term: the cache is the memo of `term_table`, so each distinct image
+    is evaluated once whichever operations it is the image of, and each
+    subterm shared by images once.  Keys are kept across the checks of one
+    call.  Each check runs once per distinct key, so thousands of members
+    sharing a handful of derived algebras cost a handful of checks.
     """
 
     def __init__(self, algebra: FiniteAlgebra, monoid: Monoid):
         self.algebra = algebra
         self.sigmas = monoid.elements()
-        self._tables: list[dict[Term, tuple[int, ...]]] = [{} for _ in algebra.sig.ops]
+        self._tables: dict[int, dict[Term, tuple[int, ...]]] = {n: {} for _, n in algebra.sig.ops}
         self._keys: list[tuple[tuple[int, ...], ...]] = []
 
     def results(
@@ -188,16 +189,16 @@ class _DerivedAlgebras:
         """(sigma, check(A^sigma)) in canonical order; keys are computed on
         first visit and `check` runs once per distinct key."""
         a, keys = self.algebra, self._keys
-        ops = list(zip(a.sig.ops, self._tables))
+        ops = [(op, arity, self._tables[arity]) for op, arity in a.sig.ops]
         verdicts: dict[tuple, CheckResult] = {}
         for n, sigma in enumerate(self.sigmas):
             if n == len(keys):
                 key = []
-                for (op, arity), tables in ops:
+                for op, arity, tables in ops:
                     img = sigma.image(op)
                     table = tables.get(img)
                     if table is None:
-                        table = tables[img] = a.term_table(img, arity)
+                        table = a.term_table(img, arity, tables)
                     key.append(table)
                 keys.append(tuple(key))
             key = keys[n]

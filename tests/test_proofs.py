@@ -4,6 +4,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given, settings
 
+from hql.algebras import AlgebraError
 from hql.hypersubs import HyperSub, Monoid
 from hql.proofs import (
     Compat,
@@ -144,6 +145,18 @@ def test_hypsub_outside_monoid_rejected():
     with pytest.raises(ProofError) as err:
         check_proof(proof_of(THEORY, Logic.mhq(POS), *lines))
     assert "monoid" in err.value.reason
+
+
+def test_proof_monoid_over_another_signature_rejected(ws):
+    # a proof built in Python never meets the loader's check of its MHQ header
+    theory = ws.theory("cancellation_demo")
+    proof = proof_of(theory, Logic.mhq(ws.monoid("lat_four")), (theory.items[0], Hyp(0)))
+    for check in (check_proof, normalize):
+        with pytest.raises(AlgebraError) as err:
+            check(proof)
+        assert str(err.value) == (
+            "signature mismatch: theory cancellation_demo is over GRP, monoid lat_four is over LAT"
+        )
 
 
 def test_compat_nullary_gives_premise_free_line():

@@ -1,13 +1,16 @@
 import itertools
+import random
 import timeit
 from dataclasses import replace
+from unittest import mock
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from hql.algebras import AlgebraError, FiniteAlgebra, all_algebras
+from hql.algebras import BLOCK, AlgebraError, FiniteAlgebra, all_algebras
 from hql.hypersubs import HyperSub, Monoid
+import hql.semantics
 from hql.semantics import (
     Theory,
     basic_terms,
@@ -23,12 +26,12 @@ from hql.semantics import (
     satisfies,
     satisfies_theory,
 )
-from hql.terms import App, Equation, QuasiEquation, Signature, Var, variables
+from hql.terms import App, Equation, QuasiEquation, Signature, Var, subst_vars, variables
 
 import _eval_oracle
 import _flat_oracle
 import _hyper_oracle as oracle
-from strategies import GRP, LAT, MIXED, quasis, random_algebras
+from strategies import GRP, LAT, MIXED, quasis, random_algebras, terms
 
 x0, x1, x2 = Var(0), Var(1), Var(2)
 
@@ -268,6 +271,33 @@ def test_solidity_checks_each_distinct_derived_algebra_once(ws, monkeypatch):
     assert count[0] == 1 + 2
 
 
+def test_solidity_evaluates_each_image_subterm_once(ws, monkeypatch):
+    f3, base, monoid = ws.algebra("f3"), ws.theory("flat_base"), ws.monoid("flat_zm")
+    lookups = [0]
+    table = FiniteAlgebra.table
+
+    def counting(self, op):
+        lookups[0] += self is f3
+        return table(self, op)
+
+    monkeypatch.setattr(FiniteAlgebra, "table", counting)
+    assert satisfies_theory(f3, base) is True
+    precondition, lookups[0] = lookups[0], 0
+    assert check_solidity(base, [f3], monoid) is True
+    # the derived tables of one arity share one memo: each application
+    # subterm of the images of that arity is looked up in f3 once
+    subterms: dict[int, set] = {}
+    for sigma in monoid.elements():
+        for op, n in f3.sig.ops:
+            stack = [sigma.image(op)]
+            while stack:
+                t = stack.pop()
+                if isinstance(t, App):
+                    subterms.setdefault(n, set()).add(t)
+                    stack += t.args
+    assert lookups[0] == precondition + sum(map(len, subterms.values()))
+
+
 def test_solidity_iff_hyper_satisfaction_for_single_witness(ws):
     f3 = ws.algebra("f3")
     base = ws.theory("flat_base")
@@ -339,6 +369,90 @@ def test_solidity_matches_per_sigma_oracle(data):
 
 
 # -- differential: block evaluation vs the recursive per-assignment oracle ---
+
+
+def _oracle_table(algebra, term, arity):
+    rows = itertools.product(range(algebra.size), repeat=arity)
+    return tuple(_eval_oracle.eval(algebra, term, dict(enumerate(row))) for row in rows)
+
+
+def _images(sig, arity, max_depth=3):
+    """Terms over x0..x(arity-1), not all of which need occur; over no
+    variable at all, the first constant stands in for x0."""
+    const = next((App(op) for op, n in sig.ops if n == 0), None)
+    drawn = terms(sig, n_vars=max(arity, 1), max_depth=max_depth)
+    return drawn if arity else drawn.map(lambda t: subst_vars(t, {0: const}))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_term_tables_match_recursive_oracle(ws, data):
+    fixtures = [
+        (ws.algebras[a], ws.monoids[m])
+        for a in sorted(ws.algebras)
+        for m in sorted(ws.monoids)
+        if ws.monoids[m].sig == ws.algebras[a].sig
+    ]
+    drawn = st.sampled_from([GRP, LAT, MIXED]).flatmap(
+        lambda sig: st.tuples(random_algebras(sig), st.sampled_from(_MONOIDS[sig]))
+    )
+    algebra, monoid = data.draw(st.sampled_from(fixtures) | drawn)
+    sig = algebra.sig
+    # images of each arity, dropping variables or constant, alone and
+    # through one memo per arity as a check shares it
+    memos = {n: {} for _, n in sig.ops}
+    for _, n in sig.ops:
+        for term in data.draw(st.lists(_images(sig, n), min_size=1, max_size=4)):
+            want = _oracle_table(algebra, term, n)
+            assert algebra.term_table(term, n) == want
+            assert algebra.term_table(term, n, memos[n]) == want
+    # the keys of one hyper_satisfies_theory call, computed by its first
+    # item and read by its second (or cut short when the first fails), are
+    # each member's derived tables
+    made = []
+
+    class Recorded(hql.semantics._DerivedAlgebras):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    items = [QuasiEquation((), Equation(x0, x0)), data.draw(quasis(sig, max_depth=2))]
+    theory = Theory(sig, tuple(data.draw(st.permutations(items))))
+    with mock.patch.object(hql.semantics, "_DerivedAlgebras", Recorded):
+        hyper_satisfies_theory(algebra, theory, monoid)
+    (derived,) = made
+    assert derived._keys
+    for sigma, key in zip(derived.sigmas, derived._keys):
+        want = tuple(_oracle_table(algebra, sigma.image(op), n) for op, n in sig.ops)
+        assert key == algebra.derived(sigma).tables == want
+
+
+WIDE = Signature.of("WIDE", h=8, f=2, c=0)
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.data())
+def test_term_table_above_block_matches_recursive_oracle(data):
+    # over 3 elements an arity-8 table has 6,561 entries, more than BLOCK,
+    # and is evaluated block by block; over 2 it has 256, in one block
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    xs = [Var(i) for i in range(8)]
+    # x0 is fixed per block, x4 is dropped
+    fixed = App("h", (xs[7], App("f", (xs[0], xs[3])), xs[2], App("c"), xs[5], xs[1], xs[6], xs[0]))
+    others = st.lists(_images(WIDE, 8).filter(lambda t: t is not fixed), max_size=3, unique=True)
+    images = [fixed, *data.draw(others)]
+    for size in (2, 3):
+        tables = {op: [rng.randrange(size) for _ in range(size**n)] for op, n in WIDE.ops}
+        algebra = FiniteAlgebra.of(WIDE, [str(i) for i in range(size)], tables)
+        memo = {}
+        for term in images:
+            want = _oracle_table(algebra, term, 8)
+            assert algebra.term_table(term, 8) == want
+            assert algebra.term_table(term, 8, memo) == want
+    # above BLOCK the memo holds finished tables only, never a block of one
+    assert 3**8 > BLOCK
+    assert set(memo) == set(images)
+    assert all(len(t) == 3**8 for t in memo.values())
 
 
 def _same_verdict(got, want):
