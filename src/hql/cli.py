@@ -31,7 +31,7 @@ from .dsl import (
     render_proof_file,
     render_theory_file,
 )
-from .hypersubs import MonoidError
+from .hypersubs import MAX_PRESET_MEMBERS, MonoidError
 from .proofs import ProofError, check_proof, hyperclose, normalize, saturate
 from .semantics import (
     CounterExample,
@@ -289,6 +289,11 @@ def _cmd_monoid(ws: Workspace, args) -> tuple[dict, list[str]]:
             coverage=monoid.coverage_note(),
         )
         return report, human
+    if len(elements) ** 2 > MAX_PRESET_MEMBERS:
+        raise MonoidError(
+            f"monoid {args.monoid} has {len(elements):,} members: its composition table would have "
+            f"{len(elements) ** 2:,} entries, more than the {MAX_PRESET_MEMBERS:,} that can be listed"
+        )
     index = {sigma: name for name, sigma in zip(names, elements)}
     table = []
     human = [f"monoid {args.monoid} composition table ({len(elements)} element(s)):"]

@@ -23,6 +23,14 @@ Block forms:
     1: <quasi> by <justification>
     ...
 
+Separators are optional: a `;` after a block item and a `,` between list
+items may be left out (`elements a b c;`).  A block gives each operation one
+table or image, a monoid takes at most one `preset` and one `cap`, and
+`subst` binds each variable once.  Every parse error reads
+`file:line:col: message`; a block the model refuses (an empty signature, a
+missing image, a monoid without the identity) is reported at its keyword.
+An unknown or duplicate name is a ResolveError, which has no position.
+
 Identities are `t = s`; quasi-equations `t1 = s1, ..., tk = sk => t = s`
 (`=> t = s` and bare `t = s` are both allowed).  Binary algebra tables are
 row-major by first argument; a constant is assigned a single element.
@@ -37,10 +45,10 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from dataclasses import fields
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
-from .algebras import FiniteAlgebra
-from .hypersubs import GENERATED_CAP, PRESETS, HyperSub, Monoid
+from .algebras import AlgebraError, FiniteAlgebra
+from .hypersubs import GENERATED_CAP, PRESETS, HyperSub, Monoid, MonoidError
 from .proofs import (
     LINE_REFS,
     Compat,
@@ -67,6 +75,7 @@ from .terms import (
     Signature,
     Substitution,
     Term,
+    TermError,
     Var,
     format_term,
     variables,
@@ -190,6 +199,16 @@ class _Reader:
 
     def at(self, text: str) -> bool:
         return self.tokens[self.pos].text == text
+
+    def until(self, close: str, sep: str) -> Iterator[None]:
+        """One pass of the caller's loop body per list item, as in
+        `for _ in reader.until("}", ";"): <read one item>`: an item may be
+        followed by one `sep`, and the list ends at `close`, which is read."""
+        while not self.at(close):
+            yield
+            if self.at(sep):
+                self.next()
+        self.expect(close)
 
 
 class _TermScope:
@@ -389,24 +408,30 @@ class _BlockParser(_Reader):
         self.ws = ws
 
     def run(self) -> None:
+        handlers = {
+            "signature": self._signature,
+            "hypersub": self._hypersub,
+            "monoid": self._monoid,
+            "algebra": self._algebra,
+            "theory": self._theory,
+            "quasi": self._quasi,
+            "proof": self._proof,
+        }
         while self.peek().kind != "eof":
-            tok = self.peek()
-            handler = {
-                "signature": self._signature,
-                "hypersub": self._hypersub,
-                "monoid": self._monoid,
-                "algebra": self._algebra,
-                "theory": self._theory,
-                "quasi": self._quasi,
-                "proof": self._proof,
-            }.get(tok.text)
-            if handler is None:
+            tok = self.next()
+            if tok.text not in handlers:
                 raise self.error(f"expected a definition keyword, found {tok.text!r}", tok)
-            self.next()
-            handler()
+            try:
+                handlers[tok.text]()
+            except (TermError, MonoidError, AlgebraError) as exc:  # a block the model refuses
+                raise self.error(str(exc), tok) from exc
 
-    def _named_sig(self) -> tuple[str, Signature]:
-        return self.expect_kind("ident").text, self._over()
+    def _header(self) -> tuple[str, Signature]:
+        """`NAME over SIG {`: the block's name and signature."""
+        name = self.expect_kind("ident").text
+        sig = self._over()
+        self.expect("{")
+        return name, sig
 
     def _over(self) -> Signature:
         """`over IDENT`: the signature named IDENT."""
@@ -420,25 +445,21 @@ class _BlockParser(_Reader):
         name = self.expect_kind("ident").text
         self.expect("{")
         ops: list[tuple[str, int]] = []
-        while not self.at("}"):
+        for _ in self.until("}", ";"):
             op = self.expect_kind("ident")
             if _VAR_RE.match(op.text):
                 raise self.error(f"operation name {op.text!r} clashes with variable syntax", op)
             self.expect("/")
             arity = int(self.expect_kind("number").text)
             ops.append((op.text, arity))
-            if self.at(";"):
-                self.next()
-        self.expect("}")
         self.ws._define(
             self.ws.signatures, "signature", name, Signature(tuple(ops), name=name)
         )
 
     def _hypersub(self) -> None:
-        name, sig = self._named_sig()
-        self.expect("{")
+        name, sig = self._header()
         images: dict[str, Term] = {}
-        while not self.at("}"):
+        for _ in self.until("}", ";"):
             op_tok = self.expect_kind("ident")
             if not sig.has(op_tok.text):
                 raise self.error(f"unknown operation symbol {op_tok.text!r}", op_tok)
@@ -446,12 +467,7 @@ class _BlockParser(_Reader):
             scope = _TermScope()
             if self.at("("):
                 self.next()
-                params: list[Token] = []
-                while not self.at(")"):
-                    params.append(self.expect_kind("ident"))
-                    if self.at(","):
-                        self.next()
-                self.expect(")")
+                params = [self.expect_kind("ident") for _ in self.until(")", ",")]
                 if len(params) != arity:
                     raise self.error(
                         f"pattern for {op_tok.text!r} needs {arity} parameter(s)", op_tok
@@ -468,21 +484,16 @@ class _BlockParser(_Reader):
             if op_tok.text in images:
                 raise self.error(f"two images for {op_tok.text!r}", op_tok)
             images[op_tok.text] = img
-            if self.at(";"):
-                self.next()
-        self.expect("}")
         sigma = HyperSub.of(sig, images)
         self.ws._define(self.ws.hypersubs, "hypersub", name, (sig, sigma))
 
     def _monoid(self) -> None:
-        name, sig = self._named_sig()
-        self.expect("{")
-        element_names: list[str] = []
-        generator_names: list[str] = []
-        cap = GENERATED_CAP
+        name, sig = self._header()
+        names: list[str] = []  # of the elements or the generators
+        cap: int | None = None
         preset: tuple[str, tuple] | None = None
         first: Token | None = None  # the clause that fixed the member list
-        while not self.at("}"):
+        for _ in self.until("}", ";"):
             word = self.expect_kind("ident")
             member_list = _MONOID_CLAUSES.get(word.text)
             if member_list is None:
@@ -490,28 +501,26 @@ class _BlockParser(_Reader):
             if first is not None and _MONOID_CLAUSES[first.text] != member_list:
                 raise self.error(f"{word.text!r} cannot follow {first.text!r}: a monoid takes one member list", word)
             first = first or word
-            if word.text in ("elements", "generators"):
-                target = element_names if word.text == "elements" else generator_names
+            if (word.text == "cap" and cap is not None) or (word.text == "preset" and preset is not None):
+                raise self.error(f"two {word.text!r} clauses", word)
+            if word.text == "cap":
+                cap = int(self.expect_kind("number").text)
+            elif word.text == "preset":
+                preset = self._preset()
+            else:
                 while self.peek().kind == "ident":
-                    target.append(self.expect_kind("ident").text)
+                    names.append(self.expect_kind("ident").text)
                     if self.at(","):
                         self.next()
-            elif word.text == "cap":
-                cap = int(self.expect_kind("number").text)
-            else:
-                preset = self._preset()
-            if self.at(";"):
-                self.next()
-        self.expect("}")
         if preset is not None:
             word, params = preset
             monoid = Monoid.preset(sig, word, *params, name=name)
-        elif element_names:
-            sigmas = [self._sigma_by_name(n, sig) for n in element_names]
-            monoid = Monoid.explicit(sig, sigmas, name=name)
-        elif generator_names:
-            sigmas = [self._sigma_by_name(n, sig) for n in generator_names]
-            monoid = Monoid.generated(sig, sigmas, cap=cap, name=name)
+        elif names:
+            sigmas = [self._sigma_by_name(n, sig) for n in names]
+            if member_list == "elements":
+                monoid = Monoid.explicit(sig, sigmas, name=name)
+            else:
+                monoid = Monoid.generated(sig, sigmas, cap=GENERATED_CAP if cap is None else cap, name=name)
         else:
             raise self.error("monoid needs elements, generators or a preset")
         self.ws._define(self.ws.monoids, "monoid", name, monoid)
@@ -546,16 +555,9 @@ class _BlockParser(_Reader):
         return tok.text
 
     def _algebra(self) -> None:
-        name, sig = self._named_sig()
-        self.expect("{")
+        name, sig = self._header()
         self.expect("elements")
-        labels: list[str] = []
-        while not self.at(";"):
-            labels.append(self._label())
-            if self.at(","):
-                self.next()
-        self.expect(";")
-        universe = tuple(labels)
+        universe = tuple(self._label() for _ in self.until(";", ","))
         if not universe:
             raise self.error("algebra needs at least one element")
         index = {lab: i for i, lab in enumerate(universe)}
@@ -564,8 +566,11 @@ class _BlockParser(_Reader):
         def flatten(op_tok: Token, value, arity: int) -> list[int]:
             if arity == 0:
                 if isinstance(value, list):
+                    op_arity = sig.arity(op_tok.text)
                     raise self.error(
-                        f"constant {op_tok.text!r} takes a single element", op_tok
+                        f"table for {op_tok.text!r} nests deeper than its arity {op_arity}" if op_arity
+                        else f"constant {op_tok.text!r} takes a single element",
+                        op_tok,
                     )
                 if value not in index:
                     raise self.error(
@@ -583,18 +588,17 @@ class _BlockParser(_Reader):
                 out.extend(flatten(op_tok, cell, arity - 1))
             return out
 
-        while not self.at("}"):
+        for _ in self.until("}", ";"):
             op_tok = self.expect_kind("ident")
             if not sig.has(op_tok.text):
                 raise self.error(f"unknown operation symbol {op_tok.text!r}", op_tok)
+            if op_tok.text in tables:
+                raise self.error(f"two tables for {op_tok.text!r}", op_tok)
             self.expect("=")
             value = self._table_value()
             tables[op_tok.text] = tuple(
                 flatten(op_tok, value, sig.arity(op_tok.text))
             )
-            if self.at(";"):
-                self.next()
-        self.expect("}")
         missing = [op for op, _ in sig.ops if op not in tables]
         if missing:
             raise self.error(f"missing table(s) for {missing}")
@@ -604,31 +608,18 @@ class _BlockParser(_Reader):
     def _table_value(self):
         if self.at("["):
             self.next()
-            out = []
-            while not self.at("]"):
-                out.append(self._table_value())
-                if self.at(","):
-                    self.next()
-            self.expect("]")
-            return out
+            return [self._table_value() for _ in self.until("]", ",")]
         return self._label()
 
     def _theory(self) -> None:
-        name, sig = self._named_sig()
-        self.expect("{")
-        items: list[QuasiEquation] = []
-        while not self.at("}"):
-            items.append(_parse_quasi(self, sig, _TermScope()))
-            if self.at(";"):
-                self.next()
-        self.expect("}")
+        name, sig = self._header()
+        items = tuple(_parse_quasi(self, sig, _TermScope()) for _ in self.until("}", ";"))
         self.ws._define(
-            self.ws.theories, "theory", name, Theory(sig, tuple(items), name=name)
+            self.ws.theories, "theory", name, Theory(sig, items, name=name)
         )
 
     def _quasi(self) -> None:
-        name, sig = self._named_sig()
-        self.expect("{")
+        name, sig = self._header()
         quasi = _parse_quasi(self, sig, _TermScope())
         if self.at(";"):
             self.next()
@@ -724,16 +715,15 @@ class _BlockParser(_Reader):
         if cls is Subst:
             self.expect("{")
             bindings: dict[int, Term] = {}
-            while not self.at("}"):
+            for _ in self.until("}", ","):
                 var_tok = self.expect_kind("ident")
                 m = _VAR_RE.match(var_tok.text)
                 if not m:
                     raise self.error("substitution keys must be explicit x<digits>", var_tok)
+                if int(m.group(1)) in bindings:
+                    raise self.error(f"two bindings for {var_tok.text!r}", var_tok)
                 self.expect("->")
                 bindings[int(m.group(1))] = _parse_term(self, sig, scope)
-                if self.at(","):
-                    self.next()
-            self.expect("}")
             return Subst(*refs, Substitution.of(bindings))
         if cls is Ext:
             return Ext(*refs, _parse_equation(self, sig, scope))

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import hypothesis.strategies as st
@@ -273,6 +274,22 @@ def test_monoid_too_large_exits_2(capsys, fixture_files, tmp_path):
         assert out == ""
         assert err.startswith("error: ") and count in err and err.count("\n") == 1
         assert "Traceback" not in err
+
+
+def test_monoid_closure_too_large_exits_2(capsys, fixture_files, tmp_path):
+    # depth(1) over LAT has 100 members, depth(2) 40,804: 1.66e9 products
+    big = tmp_path / "big.hql"
+    big.write_text("monoid d1 over LAT { preset depth(1); }\nmonoid d2 over LAT { preset depth(2); }\n")
+    code, out, _ = run(capsys, "monoid", "closure", *fixture_files, str(big), "--monoid", "d1", "--json")
+    assert code == 0 and len(json.loads(out)["table"]) == 100 * 100
+    start = time.perf_counter()
+    code, out, err = run(capsys, "monoid", "closure", *fixture_files, str(big), "--monoid", "d2")
+    assert time.perf_counter() - start < 5
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: monoid d2 has 40,804 members: its composition table would have "
+        "1,664,966,416 entries, more than the 1,000,000 that can be listed\n"
+    )
 
 
 def test_generated_monoid_cap_counts_every_member(capsys, fixture_files, tmp_path):

@@ -253,6 +253,32 @@ PARSE_ERRORS = [
     ("proof_monoid_signature",
      _T + "signature R { g/1; }\nmonoid M over R { preset trivial; }\nproof p over S in MHQ(M) from T\n",
      "t.hql:5:23: monoid signature differs from the proof signature"),
+    # a repeated key is refused, not overwritten
+    ("repeated_table", _S + "algebra A over S { elements p q; f = [[p, q], [q, p]]; f = [[p, p], [p, p]]; c = p; }",
+     "t.hql:2:56: two tables for 'f'"),
+    ("repeated_cap", _S + "hypersub h over S { f(a, b) -> f(b, a); c -> c; }\n"
+     "monoid M over S { generators h; cap 2; cap 64; }",
+     "t.hql:3:40: two 'cap' clauses"),
+    ("repeated_preset", _S + "monoid M over S { preset trivial; preset fundamental; }",
+     "t.hql:2:35: two 'preset' clauses"),
+    ("repeated_binding", _P + "2: f(x2, x1) = f(x1, x2) by subst 1 {x0 -> x2, x0 -> x1}\n",
+     "t.hql:5:48: two bindings for 'x0'"),
+    ("table_deeper_than_arity", _S + "algebra A over S { elements p q; f = [[[p], q], [q, p]]; c = p; }",
+     "t.hql:2:34: table for 'f' nests deeper than its arity 2"),
+    ("constant_table", _S + "algebra A over S { elements p q; f = [[p, q], [q, p]]; c = [p]; }",
+     "t.hql:2:56: constant 'c' takes a single element"),
+    # a block the model refuses is reported at its keyword
+    ("empty_signature", "signature G { }",
+     "t.hql:1:1: a signature needs at least one operation symbol"),
+    ("hypersub_missing_image", _S + "hypersub h over S { f(a, b) -> f(b, a); }",
+     "t.hql:2:1: no image for operation symbol 'c'"),
+    ("repeated_label", _S + "algebra A over S { elements p p; f = [[p, p], [p, p]]; c = p; }",
+     "t.hql:2:1: duplicate element labels"),
+    ("preset_parameter_type", "signature G { f/2; }\nmonoid M over G { preset zero_meet(1, f, f); }",
+     "t.hql:2:1: signature has no constant 'f'"),
+    ("explicit_monoid_without_identity", _S + "hypersub h over S { f(a, b) -> f(b, a); c -> c; }\n"
+     "monoid M over S { elements h; }",
+     "t.hql:3:1: explicit monoid must contain the identity"),
 ]
 
 
