@@ -29,7 +29,9 @@ table or image, a monoid takes at most one `preset` and one `cap`, and
 `subst` binds each variable once.  Every parse error reads
 `file:line:col: message`; a block the model refuses (an empty signature, a
 missing image, a monoid without the identity) is reported at its keyword.
-An unknown or duplicate name is a ResolveError, which has no position.
+A name that refers to nothing or is defined twice is a ResolveError at
+that name (an unknown signature after `over` is a ParseError); only a name
+given to a `Workspace` lookup has no position.
 
 Identities are `t = s`; quasi-equations `t1 = s1, ..., tk = sk => t = s`
 (`=> t = s` and bare `t = s` are both allowed).  Binary algebra tables are
@@ -91,10 +93,11 @@ class ParseError(ValueError):
 
 
 class ResolveError(LookupError):
-    def __init__(self, kind: str, name: str, problem: str = "unknown"):
+    def __init__(self, kind: str, name: str, problem: str = "unknown", where: str = ""):
+        """`where` is the `file:line:col: ` of a name read from text."""
         self.kind = kind
         self.name = name
-        super().__init__(f"{problem} {kind} {name!r}")
+        super().__init__(f"{where}{problem} {kind} {name!r}")
 
 
 class Token(NamedTuple):
@@ -369,11 +372,6 @@ class Workspace:
         _BlockParser(self, tokenize(text, filename), filename).run()
         return self
 
-    def _define(self, registry: dict, kind: str, name: str, value) -> None:
-        if name in registry:
-            raise ResolveError(kind, name, problem="duplicate")
-        registry[name] = value
-
     def signature(self, name: str) -> Signature:
         return self._lookup(self.signatures, "signature", name)
 
@@ -426,12 +424,36 @@ class _BlockParser(_Reader):
             except (TermError, MonoidError, AlgebraError) as exc:  # a block the model refuses
                 raise self.error(str(exc), tok) from exc
 
-    def _header(self) -> tuple[str, Signature]:
-        """`NAME over SIG {`: the block's name and signature."""
-        name = self.expect_kind("ident").text
+    def _header(self) -> tuple[Token, Signature]:
+        """`NAME over SIG {`: the block's name token and signature."""
+        name = self.expect_kind("ident")
         sig = self._over()
         self.expect("{")
         return name, sig
+
+    def _where(self, tok: Token) -> str:
+        return f"{self.filename}:{tok.line}:{tok.col}: "
+
+    def _define(self, registry: dict, kind: str, name: Token, value) -> None:
+        """Register `value` under the text of the token `name`, where a
+        duplicate is reported."""
+        if name.text in registry:
+            raise ResolveError(kind, name.text, "duplicate", self._where(name))
+        registry[name.text] = value
+
+    def _ref(self, registry: dict, kind: str) -> tuple[Token, object]:
+        """The next token, a name, and what it names in `registry`."""
+        tok = self.expect_kind("ident")
+        if tok.text not in registry:
+            raise ResolveError(kind, tok.text, where=self._where(tok))
+        return tok, registry[tok.text]
+
+    def _sigma(self, sig: Signature, context: str) -> HyperSub:
+        """The hypersubstitution named by the next token, over `sig`."""
+        tok, (sigma_sig, sigma) = self._ref(self.ws.hypersubs, "hypersub")
+        if sigma_sig != sig:
+            raise self.error(f"hypersub signature differs from the {context} signature", tok)
+        return sigma
 
     def _over(self) -> Signature:
         """`over IDENT`: the signature named IDENT."""
@@ -442,19 +464,19 @@ class _BlockParser(_Reader):
         return self.ws.signatures[sig_tok.text]
 
     def _signature(self) -> None:
-        name = self.expect_kind("ident").text
+        name = self.expect_kind("ident")
         self.expect("{")
-        ops: list[tuple[str, int]] = []
+        ops: dict[str, int] = {}
         for _ in self.until("}", ";"):
             op = self.expect_kind("ident")
             if _VAR_RE.match(op.text):
                 raise self.error(f"operation name {op.text!r} clashes with variable syntax", op)
+            if op.text in ops:
+                raise self.error(f"duplicate operation symbol {op.text!r}", op)
             self.expect("/")
-            arity = int(self.expect_kind("number").text)
-            ops.append((op.text, arity))
-        self.ws._define(
-            self.ws.signatures, "signature", name, Signature(tuple(ops), name=name)
-        )
+            ops[op.text] = int(self.expect_kind("number").text)
+        sig = Signature(tuple(ops.items()), name=name.text)
+        self._define(self.ws.signatures, "signature", name, sig)
 
     def _hypersub(self) -> None:
         name, sig = self._header()
@@ -485,11 +507,11 @@ class _BlockParser(_Reader):
                 raise self.error(f"two images for {op_tok.text!r}", op_tok)
             images[op_tok.text] = img
         sigma = HyperSub.of(sig, images)
-        self.ws._define(self.ws.hypersubs, "hypersub", name, (sig, sigma))
+        self._define(self.ws.hypersubs, "hypersub", name, (sig, sigma))
 
     def _monoid(self) -> None:
         name, sig = self._header()
-        names: list[str] = []  # of the elements or the generators
+        sigmas: list[HyperSub] = []  # the elements or the generators
         cap: int | None = None
         preset: tuple[str, tuple] | None = None
         first: Token | None = None  # the clause that fixed the member list
@@ -509,21 +531,20 @@ class _BlockParser(_Reader):
                 preset = self._preset()
             else:
                 while self.peek().kind == "ident":
-                    names.append(self.expect_kind("ident").text)
+                    sigmas.append(self._sigma(sig, "monoid"))
                     if self.at(","):
                         self.next()
         if preset is not None:
             word, params = preset
-            monoid = Monoid.preset(sig, word, *params, name=name)
-        elif names:
-            sigmas = [self._sigma_by_name(n, sig) for n in names]
+            monoid = Monoid.preset(sig, word, *params, name=name.text)
+        elif sigmas:
             if member_list == "elements":
-                monoid = Monoid.explicit(sig, sigmas, name=name)
+                monoid = Monoid.explicit(sig, sigmas, name=name.text)
             else:
-                monoid = Monoid.generated(sig, sigmas, cap=GENERATED_CAP if cap is None else cap, name=name)
+                monoid = Monoid.generated(sig, sigmas, cap=GENERATED_CAP if cap is None else cap, name=name.text)
         else:
             raise self.error("monoid needs elements, generators or a preset")
-        self.ws._define(self.ws.monoids, "monoid", name, monoid)
+        self._define(self.ws.monoids, "monoid", name, monoid)
 
     def _preset(self) -> tuple[str, tuple]:
         """A preset word and its parameters, read by the PRESETS types."""
@@ -542,25 +563,24 @@ class _BlockParser(_Reader):
             self.expect(")")
         return word, tuple(params)
 
-    def _sigma_by_name(self, name: str, sig: Signature) -> HyperSub:
-        sigma_sig, sigma = self.ws.hypersub(name)
-        if sigma_sig != sig:
-            raise ResolveError("hypersub", f"{name} (wrong signature)")
-        return sigma
-
-    def _label(self) -> str:
+    def _label(self) -> Token:
         tok = self.next()
         if tok.kind not in ("ident", "number"):
             raise self.error(f"expected an element label, found {tok.text!r}", tok)
-        return tok.text
+        return tok
 
     def _algebra(self) -> None:
         name, sig = self._header()
         self.expect("elements")
-        universe = tuple(self._label() for _ in self.until(";", ","))
-        if not universe:
+        index: dict[str, int] = {}  # label -> element
+        for _ in self.until(";", ","):
+            label = self._label()
+            if label.text in index:
+                raise self.error("duplicate element labels", label)
+            index[label.text] = len(index)
+        if not index:
             raise self.error("algebra needs at least one element")
-        index = {lab: i for i, lab in enumerate(universe)}
+        universe = tuple(index)
         tables: dict[str, tuple[int, ...]] = {}
 
         def flatten(op_tok: Token, value, arity: int) -> list[int]:
@@ -602,21 +622,19 @@ class _BlockParser(_Reader):
         missing = [op for op, _ in sig.ops if op not in tables]
         if missing:
             raise self.error(f"missing table(s) for {missing}")
-        algebra = FiniteAlgebra.of(sig, universe, tables, name=name)
-        self.ws._define(self.ws.algebras, "algebra", name, algebra)
+        algebra = FiniteAlgebra.of(sig, universe, tables, name=name.text)
+        self._define(self.ws.algebras, "algebra", name, algebra)
 
     def _table_value(self):
         if self.at("["):
             self.next()
             return [self._table_value() for _ in self.until("]", ",")]
-        return self._label()
+        return self._label().text
 
     def _theory(self) -> None:
         name, sig = self._header()
         items = tuple(_parse_quasi(self, sig, _TermScope()) for _ in self.until("}", ";"))
-        self.ws._define(
-            self.ws.theories, "theory", name, Theory(sig, items, name=name)
-        )
+        self._define(self.ws.theories, "theory", name, Theory(sig, items, name=name.text))
 
     def _quasi(self) -> None:
         name, sig = self._header()
@@ -624,14 +642,14 @@ class _BlockParser(_Reader):
         if self.at(";"):
             self.next()
         self.expect("}")
-        self.ws._define(self.ws.quasis, "quasi", name, (sig, quasi))
+        self._define(self.ws.quasis, "quasi", name, (sig, quasi))
 
     def _proof(self) -> None:
-        if self.at("over"):
+        if self.at("over"):  # an anonymous proof is named at its `over`
             self.ws._anon_proofs += 1
-            name = f"proof{self.ws._anon_proofs}"
+            name = self.peek()._replace(text=f"proof{self.ws._anon_proofs}")
         else:
-            name = self.expect_kind("ident").text
+            name = self.expect_kind("ident")
         sig = self._over()
         self.expect("in")
         logic_tok = self.expect_kind("ident")
@@ -641,8 +659,7 @@ class _BlockParser(_Reader):
             logic = Logic.hq()
         elif logic_tok.text == "MHQ":
             self.expect("(")
-            monoid_tok = self.expect_kind("ident")
-            monoid = self.ws.monoid(monoid_tok.text)
+            monoid_tok, monoid = self._ref(self.ws.monoids, "monoid")
             if monoid.sig != sig:
                 raise self.error("monoid signature differs from the proof signature", monoid_tok)
             logic = Logic.mhq(monoid)
@@ -650,8 +667,7 @@ class _BlockParser(_Reader):
         else:
             raise self.error(f"unknown logic {logic_tok.text!r}", logic_tok)
         self.expect("from")
-        th_tok = self.expect_kind("ident")
-        theory = self.ws.theory(th_tok.text)
+        th_tok, theory = self._ref(self.ws.theories, "theory")
         if theory.sig != sig:
             raise self.error("theory signature differs from the proof signature", th_tok)
 
@@ -668,8 +684,8 @@ class _BlockParser(_Reader):
             self.expect("by")
             just = self._justification(sig, scope, len(lines))
             lines.append((quasi, just))
-        proof = Proof(theory, logic, tuple(lines), name=name)
-        self.ws._define(self.ws.proofs, "proof", name, proof)
+        proof = Proof(theory, logic, tuple(lines), name=name.text)
+        self._define(self.ws.proofs, "proof", name, proof)
 
     def _line_ref(self, current: int) -> int:
         tok = self.expect_kind("number")
@@ -728,7 +744,7 @@ class _BlockParser(_Reader):
         if cls is Ext:
             return Ext(*refs, _parse_equation(self, sig, scope))
         if cls is HypSub:
-            return HypSub(*refs, self._sigma_by_name(self.expect_kind("ident").text, sig))
+            return HypSub(*refs, self._sigma(sig, "proof"))
         return cls(*refs)  # cut, mp
 
 

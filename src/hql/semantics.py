@@ -48,7 +48,6 @@ from .terms import (
     Term,
     Var,
     as_quasi,
-    variables,
 )
 
 
@@ -316,18 +315,15 @@ def zero_semilattice_equations(sig: Signature, meet: str, zero: str) -> list[tup
 
 def compatibility_equations(sig: Signature, meet: str, zero: str) -> list[tuple[str, Equation]]:
     """Every operation distributes over meet in every argument position."""
+    x, y = Var(0), Var(1)
     eqs = []
     for op, arity in sig.ops:
+        others = tuple(Var(j + 2) for j in range(arity - 1))
         for i in range(arity):
-            others = [Var(j + 2) for j in range(arity - 1)]
-            def plug(t: Term) -> Term:
-                picked = list(others)
-                picked.insert(i, t)
-                return App(op, tuple(picked))
-            x, y = Var(0), Var(1)
-            lhs = plug(App(meet, (x, y)))
-            rhs = App(meet, (plug(x), plug(y)))
-            eqs.append((f"compatibility {op}@{i}", Equation(lhs, rhs)))
+            lhs, at_x, at_y = (
+                App(op, (*others[:i], t, *others[i:])) for t in (App(meet, (x, y)), x, y)
+            )
+            eqs.append((f"compatibility {op}@{i}", Equation(lhs, App(meet, (at_x, at_y)))))
     return eqs
 
 
@@ -353,19 +349,17 @@ def is_flat(algebra: FiniteAlgebra, meet: str, zero: str) -> CheckResult:
     plus `is_zero_semilattice`.
     """
     zero_idx = algebra.table(zero)[0]
-    for a in range(algebra.size):
-        for b in range(algebra.size):
-            if a == b:
-                continue
-            got = algebra.table(meet)[a * algebra.size + b]
-            if got != zero_idx:
-                return CounterExample(
-                    Equation(App(meet, (Var(0), Var(1))), App(zero)),
-                    {0: a, 1: b},
-                    got,
-                    zero_idx,
-                    label="flatness",
-                )
+    table = algebra.table(meet)
+    for a, b in itertools.permutations(range(algebra.size), 2):
+        got = table[a * algebra.size + b]
+        if got != zero_idx:
+            return CounterExample(
+                Equation(App(meet, (Var(0), Var(1))), App(zero)),
+                {0: a, 1: b},
+                got,
+                zero_idx,
+                label="flatness",
+            )
     return True
 
 
@@ -397,91 +391,55 @@ def check_absorption(algebra: FiniteAlgebra, meet: str, zero: str) -> CheckResul
 # -- basic one-variable terms ------------------------------------------------
 
 
-def basic_terms(
-    sig: Signature, x: int, depth: int, pool: Sequence[int]
-) -> Iterator[Term]:
+def basic_terms(sig: Signature, x: int, depth: int, pool: Sequence[int]) -> Iterator[Term]:
     """All basic terms in the distinguished variable of exactly the given
     depth: depth 0 is the variable itself; depth n wraps a depth n-1 basic
     term in one argument slot of an operation, filling the other slots with
-    fresh pairwise-distinct variables drawn from `pool` in pre-order.
+    fresh pairwise-distinct variables from `pool`.  One term per path of
+    slots, outermost first, in `itertools.product` order.
 
-    Two such terms equal up to renaming of the fresh variables are produced
-    once, in the canonical pool naming.
+    The fresh variables are numbered in pre-order: the side arguments left
+    of the spine, outermost level first, then those right of it, innermost
+    level first, so terms equal up to renaming them come once.  A path
+    that needs more of them than `pool` holds raises ValueError.
     """
     if x in pool:
         raise ValueError("fresh-variable pool must not contain the distinguished variable")
-    slots = [
-        (op, arity, i)
-        for op, arity in sig.ops
-        if arity >= 1
-        for i in range(arity)
-    ]
-
-    def build(levels: tuple[tuple[str, int, int], ...]) -> Term:
-        counter = 0
-
-        def go(rest: tuple[tuple[str, int, int], ...]) -> Term:
-            nonlocal counter
-            if not rest:
-                return Var(x)
-            op, arity, pos = rest[0]
-            args: list[Term] = []
-            for j in range(arity):
-                if j == pos:
-                    args.append(go(rest[1:]))
-                else:
-                    if counter >= len(pool):
-                        raise ValueError("fresh-variable pool exhausted")
-                    args.append(Var(pool[counter]))
-                    counter += 1
-            return App(op, tuple(args))
-
-        return go(levels)
-
-    if depth == 0:
-        yield Var(x)
-        return
-    for combo in itertools.product(slots, repeat=depth):
-        yield build(combo)
+    slots = [(op, arity, i) for op, arity in sig.ops for i in range(arity)]
+    for path in itertools.product(slots, repeat=depth):
+        if sum(arity - 1 for _, arity, _ in path) > len(pool):
+            raise ValueError("fresh-variable pool exhausted")
+        # inside out: the innermost level's left arguments are the last
+        # left ones, its right arguments the first right ones
+        left = right = sum(pos for _, _, pos in path)
+        term: Term = Var(x)
+        for op, arity, pos in reversed(path):
+            left -= pos
+            end = right + arity - 1 - pos
+            term = App(op, (*map(Var, pool[left : left + pos]), term, *map(Var, pool[right:end])))
+            right = end
+        yield term
 
 
 def classify_basic(term: Term, x: int) -> int | None:
     """Independent recogniser: the depth of `term` as a basic term in the
-    distinguished variable, or None.  Side variables must differ from the
-    distinguished one and be pairwise distinct across the whole term."""
-    side: list[int] = []
-
-    def walk(t: Term) -> int | None:
-        if t == Var(x):
-            return 0
-        if isinstance(t, Var) or not t.args:
+    distinguished variable, or None.  It walks down the spine: at each
+    level exactly one argument is `x` itself or an application (the next
+    level), and every other one is a side variable.  Side variables are
+    pairwise distinct across the whole term."""
+    target, sides, depth = Var(x), [], 0
+    while term != target:
+        if isinstance(term, Var):
             return None
-        spine = [i for i, a in enumerate(t.args) if x in variables(a)]
+        spine = [a for a in term.args if a == target or isinstance(a, App)]
         if len(spine) != 1:
             return None
-        inner = None
-        for i, a in enumerate(t.args):
-            if i == spine[0]:
-                inner = walk(a)
-                if inner is None:
-                    return None
-            else:
-                if not isinstance(a, Var) or a.index == x:
-                    return None
-                side.append(a.index)
-        return 1 + inner
-
-    d = walk(term)
-    if d is None:
-        return None
-    if len(side) != len(set(side)):
-        return None
-    return d
+        sides += [a.index for a in term.args if a != spine[0]]
+        term, depth = spine[0], depth + 1
+    return depth if len(sides) == len(set(sides)) else None
 
 
-def check_basic_preservation(
-    sigma: HyperSub, sig: Signature, x: int = 0, pool: Sequence[int] | None = None
-) -> Union[bool, BasicTermFailure]:
+def check_basic_preservation(sigma: HyperSub, sig: Signature) -> Union[bool, BasicTermFailure]:
     """Does the hypersubstitution send every basic term to a basic term of
     equal depth, at every depth?
 
@@ -490,18 +448,15 @@ def check_basic_preservation(
     basic terms decide it: the image g(x_p(0), ...) of op keeps op's
     argument at position i exactly when i is below g's arity, so a basic
     term of any depth keeps its spine exactly when the depth-1 term of each
-    of its slots does.  The first failing depth-1 term is reported, which
-    is the first failure of a sweep upward in depth.
+    of its slots does.  The first failing depth-1 term in x0, with fresh
+    variables from x1000 on, is reported: the first failure of a sweep
+    upward in depth.
     """
     if not sigma.is_symbol_renaming():
-        raise ValueError(
-            "preservation check requires symbol-renaming images"
-        )
-    if pool is None:
-        pool = range(1000, 1000 + sig.max_arity())
-    for term in basic_terms(sig, x, 1, pool):
+        raise ValueError("preservation check requires symbol-renaming images")
+    for term in basic_terms(sig, 0, 1, range(1000, 1000 + sig.max_arity())):
         mapped = sigma.apply(term)
-        got = classify_basic(mapped, x)
+        got = classify_basic(mapped, 0)
         if got != 1:
             return BasicTermFailure(term, mapped, 1, got)
     return True

@@ -5,17 +5,85 @@ one level (see their docstrings).  These are the direct readings of the two
 properties instead: enumerate every term up to a depth and check each one.
 They are exponential in the depth, so the differential tests run them at
 small depths only.
+
+`basic_terms` and `classify_basic` are the recursive readings of the
+definitions that `hql.semantics` implements as loops over the spine; the
+preservation sweep below uses these, not the loops it is compared with.
 """
 
+import itertools
+
 from hql.algebras import AlgebraError
-from hql.semantics import (
-    BasicTermFailure,
-    basic_terms,
-    classify_basic,
-    is_zero_semilattice,
-    satisfies,
-)
+from hql.semantics import BasicTermFailure, is_zero_semilattice, satisfies
 from hql.terms import App, Equation, Var, subst_vars, term_depth, variables
+
+
+def basic_terms(sig, x, depth, pool):
+    """Each path of (op, arity, spine position) slots, outermost first, in
+    product order, built top-down; fresh variables are taken from `pool` in
+    pre-order as the build reaches them."""
+    if x in pool:
+        raise ValueError("fresh-variable pool must not contain the distinguished variable")
+    slots = [(op, arity, i) for op, arity in sig.ops if arity >= 1 for i in range(arity)]
+
+    def build(levels):
+        counter = 0
+
+        def go(rest):
+            nonlocal counter
+            if not rest:
+                return Var(x)
+            op, arity, pos = rest[0]
+            args = []
+            for j in range(arity):
+                if j == pos:
+                    args.append(go(rest[1:]))
+                else:
+                    if counter >= len(pool):
+                        raise ValueError("fresh-variable pool exhausted")
+                    args.append(Var(pool[counter]))
+                    counter += 1
+            return App(op, tuple(args))
+
+        return go(levels)
+
+    if depth == 0:
+        yield Var(x)
+        return
+    for combo in itertools.product(slots, repeat=depth):
+        yield build(combo)
+
+
+def classify_basic(term, x):
+    """The depth of `term` as a basic term in x, or None: exactly one
+    argument per level contains x, the others are variables other than x,
+    and those side variables are pairwise distinct over the whole term."""
+    side = []
+
+    def walk(t):
+        if t == Var(x):
+            return 0
+        if isinstance(t, Var) or not t.args:
+            return None
+        spine = [i for i, a in enumerate(t.args) if x in variables(a)]
+        if len(spine) != 1:
+            return None
+        inner = None
+        for i, a in enumerate(t.args):
+            if i == spine[0]:
+                inner = walk(a)
+                if inner is None:
+                    return None
+            else:
+                if not isinstance(a, Var) or a.index == x:
+                    return None
+                side.append(a.index)
+        return 1 + inner
+
+    d = walk(term)
+    if d is None or len(side) != len(set(side)):
+        return None
+    return d
 
 
 def iter_terms_canonical(sig, max_depth, max_vars):

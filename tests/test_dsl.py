@@ -263,6 +263,10 @@ PARSE_ERRORS = [
      "t.hql:2:35: two 'preset' clauses"),
     ("repeated_binding", _P + "2: f(x2, x1) = f(x1, x2) by subst 1 {x0 -> x2, x0 -> x1}\n",
      "t.hql:5:48: two bindings for 'x0'"),
+    ("repeated_operation", "signature S { f/2; f/1; }",
+     "t.hql:1:20: duplicate operation symbol 'f'"),
+    ("repeated_label", _S + "algebra A over S { elements p p; f = [[p, p], [p, p]]; c = p; }",
+     "t.hql:2:31: duplicate element labels"),
     ("table_deeper_than_arity", _S + "algebra A over S { elements p q; f = [[[p], q], [q, p]]; c = p; }",
      "t.hql:2:34: table for 'f' nests deeper than its arity 2"),
     ("constant_table", _S + "algebra A over S { elements p q; f = [[p, q], [q, p]]; c = [p]; }",
@@ -272,13 +276,19 @@ PARSE_ERRORS = [
      "t.hql:1:1: a signature needs at least one operation symbol"),
     ("hypersub_missing_image", _S + "hypersub h over S { f(a, b) -> f(b, a); }",
      "t.hql:2:1: no image for operation symbol 'c'"),
-    ("repeated_label", _S + "algebra A over S { elements p p; f = [[p, p], [p, p]]; c = p; }",
-     "t.hql:2:1: duplicate element labels"),
     ("preset_parameter_type", "signature G { f/2; }\nmonoid M over G { preset zero_meet(1, f, f); }",
      "t.hql:2:1: signature has no constant 'f'"),
     ("explicit_monoid_without_identity", _S + "hypersub h over S { f(a, b) -> f(b, a); c -> c; }\n"
      "monoid M over S { elements h; }",
      "t.hql:3:1: explicit monoid must contain the identity"),
+    # a name over another signature is reported at the name
+    ("monoid_wrong_signature",
+     _S + "signature R { g/1; }\nhypersub h over R { g(x0) -> x0; }\nmonoid M over S { generators h; }",
+     "t.hql:4:30: hypersub signature differs from the monoid signature"),
+    ("hypsub_wrong_signature",
+     _P.replace("proof", "signature R { g/1; }\nhypersub h over R { g(x0) -> x0; }\nproof")
+     + "2: f(x1, x0) = f(x0, x1) by hypsub 1 h\n",
+     "t.hql:7:38: hypersub signature differs from the proof signature"),
 ]
 
 
@@ -318,19 +328,18 @@ def test_unknown_signature_reference():
         Workspace().load_text("algebra A over NOPE { elements 0; }")
 
 
-# A name that resolves to nothing, and its exact message.
+# A name that resolves to nothing or is defined twice, and its exact
+# message.  A pair of texts is loaded as `s.hql`, then `t.hql`.
 RESOLVE_ERRORS = [
-    ("mhq_monoid", _T + "proof p over S in MHQ(nosuch) from T\n", "unknown monoid 'nosuch'"),
-    ("proof_theory", _T + "proof p over S in Q from nosuch\n", "unknown theory 'nosuch'"),
-    ("hypsub_sigma", _P + "2: f(x1, x0) = f(x0, x1) by hypsub 1 nosuch\n", "unknown hypersub 'nosuch'"),
-    ("monoid_elements", _S + "monoid M over S { elements nosuch; }", "unknown hypersub 'nosuch'"),
-    ("monoid_wrong_signature",
-     _S + "signature R { g/1; }\nhypersub h over R { g(x0) -> x0; }\nmonoid M over S { generators h; }",
-     "unknown hypersub 'h (wrong signature)'"),
-    ("hypsub_wrong_signature",
-     _P.replace("proof", "signature R { g/1; }\nhypersub h over R { g(x0) -> x0; }\nproof")
-     + "2: f(x1, x0) = f(x0, x1) by hypsub 1 h\n",
-     "unknown hypersub 'h (wrong signature)'"),
+    ("mhq_monoid", _T + "proof p over S in MHQ(nosuch) from T\n", "t.hql:3:23: unknown monoid 'nosuch'"),
+    ("proof_theory", _T + "proof p over S in Q from nosuch\n", "t.hql:3:26: unknown theory 'nosuch'"),
+    ("hypsub_sigma", _P + "2: f(x1, x0) = f(x0, x1) by hypsub 1 nosuch\n",
+     "t.hql:5:38: unknown hypersub 'nosuch'"),
+    ("monoid_elements", _S + "monoid M over S { elements nosuch; }", "t.hql:2:28: unknown hypersub 'nosuch'"),
+    ("duplicate_in_one_file", _T + "theory T over S { f(x, x) = x; }", "t.hql:3:8: duplicate theory 'T'"),
+    ("duplicate_across_files", (_S, "# again\n" + _S), "t.hql:2:11: duplicate signature 'S'"),
+    ("duplicate_anonymous_proof", _T + "proof proof1 over S in Q from T\nproof over S in Q from T\n",
+     "t.hql:4:7: duplicate proof 'proof1'"),
 ]
 
 
@@ -338,8 +347,12 @@ RESOLVE_ERRORS = [
     "text, message", [case[1:] for case in RESOLVE_ERRORS], ids=[case[0] for case in RESOLVE_ERRORS]
 )
 def test_resolve_error_message(text, message):
+    ws = Workspace()
+    if isinstance(text, tuple):
+        ws.load_text(text[0], filename="s.hql")
+        text = text[1]
     with pytest.raises(ResolveError) as err:
-        Workspace().load_text(text, filename="t.hql")
+        ws.load_text(text, filename="t.hql")
     assert str(err.value) == message
 
 

@@ -717,3 +717,62 @@ def test_preservation_matches_sweep_on_every_symbol_renaming():
             sigmas += 1
             failures += got is not True
     assert (sigmas, failures) == (60, 30)
+
+
+# -- differential: the spine loops vs the recursive definitions ---------------
+
+# Up to three operations of arity 0-3 (o0, o1, ...).
+small_signatures = st.lists(st.integers(0, 3), min_size=1, max_size=3).map(
+    lambda arities: Signature.of("R", **{f"o{i}": n for i, n in enumerate(arities)})
+)
+
+
+def _terms_or_error(generator):
+    out = []
+    try:
+        for term in generator:
+            out.append(term)
+    except ValueError as exc:
+        out.append(f"ValueError: {exc}")
+    return out
+
+
+# x in 0-3 and pools drawn from 0-9: x is sometimes in the pool, and a
+# pool of at most 6 runs out at depth 3 over a ternary operation.
+@settings(max_examples=200, deadline=None)
+@given(small_signatures, st.integers(0, 3), st.integers(0, 3), st.lists(st.integers(0, 9), unique=True, max_size=6))
+def test_basic_terms_match_recursive_definition(sig, x, depth, pool):
+    assert _terms_or_error(basic_terms(sig, x, depth, pool)) == _terms_or_error(
+        _flat_oracle.basic_terms(sig, x, depth, pool)
+    )
+
+
+NEAR = Signature.of("NEAR", f=2, g=1, h=3, c=0)
+
+
+@st.composite
+def near_basic_terms(draw):
+    """A basic term in x, and often one of its variables replaced by x, a
+    variable (perhaps a side one), a constant or an application: x on two
+    sides, a repeated side variable, a constant on the spine or an
+    application as a side argument."""
+    x = draw(st.integers(0, 2))
+    term = draw(st.sampled_from(list(_flat_oracle.basic_terms(NEAR, x, draw(st.integers(0, 3)), range(3, 12)))))
+    if draw(st.booleans()):
+        old = draw(st.sampled_from(sorted(variables(term))))
+        new = draw(st.one_of(st.integers(0, 11).map(Var), terms(NEAR, n_vars=4, max_depth=2)))
+        term = subst_vars(term, {old: new})
+    return term, x
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(near_basic_terms(), st.tuples(terms(NEAR, n_vars=4, max_depth=3), st.integers(0, 3))))
+def test_classify_basic_matches_recursive_definition(case):
+    term, x = case
+    assert classify_basic(term, x) == _flat_oracle.classify_basic(term, x)
+
+
+def test_deep_basic_term_builds_and_classifies():
+    # deeper than the interpreter's default recursion limit of 1,000
+    (term,) = basic_terms(Signature.of("U", g=1), 0, 1500, [])
+    assert classify_basic(term, 0) == 1500
