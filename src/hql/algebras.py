@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Sequence
 
 from .hypersubs import HyperSub
-from .terms import Signature, Term, Var
+from .terms import App, Signature, Term, Var
 
 # Most assignments evaluated together by one `FiniteAlgebra.values` call.
 BLOCK = 4096
@@ -149,6 +149,35 @@ class FiniteAlgebra:
         if term not in memo:
             memo[term] = tuple(v for c in self.blocks(range(arity)) for v in self.values([term], c)[0])
         return memo[term]
+
+    def term_classes(
+        self, arity: int, depth: int, memo: dict[Term, tuple[int, ...]] | None = None
+    ) -> dict[tuple[int, ...], Term]:
+        """The distinct tables of the terms over x0..x(arity-1) of depth
+        <= `depth`, each mapped to its representative, the `term_key`-least
+        term with that table, in representative order.  `memo` is read and
+        filled in as by `term_table`.
+
+        Layer k+1 is built from layer k alone, with no term enumeration: a
+        term of depth <= k+1 is an atom or op(t1, ..., tm) over terms of
+        depth <= k, its table is op applied to theirs, and `term_key`
+        compares the symbol first, then the arguments from the left.  So
+        the candidates are the variables, then each symbol (by name) over
+        the product of layer k's representatives; they come in `term_key`
+        order, and the first with each table represents it.
+        Representatives can still change once the tables stop growing, so
+        exactly `depth` layers are built.
+        """
+        heads, memo = sorted(self.sig.ops), {} if memo is None else memo
+        layer: dict[tuple[int, ...], Term] = {}
+        for _ in range(depth + 1):
+            reps = list(layer.values())
+            terms = [Var(i) for i in range(arity)]
+            terms += [App(op, args) for op, n in heads for args in itertools.product(reps, repeat=n)]
+            layer = {}
+            for term in terms:
+                layer.setdefault(self.term_table(term, arity, memo), term)
+        return layer
 
     def derived(self, sigma: HyperSub) -> "FiniteAlgebra":
         """Reinterpret every operation as the term operation of its image."""

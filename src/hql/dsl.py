@@ -30,8 +30,7 @@ table or image, a monoid takes at most one `preset` and one `cap`, and
 `file:line:col: message`; a block the model refuses (an empty signature, a
 missing image, a monoid without the identity) is reported at its keyword.
 A name that refers to nothing or is defined twice is a ResolveError at
-that name (an unknown signature after `over` is a ParseError); only a name
-given to a `Workspace` lookup has no position.
+that name; only a name given to a `Workspace` lookup has no position.
 
 Identities are `t = s`; quasi-equations `t1 = s1, ..., tk = sk => t = s`
 (`=> t = s` and bare `t = s` are both allowed).  Binary algebra tables are
@@ -458,10 +457,7 @@ class _BlockParser(_Reader):
     def _over(self) -> Signature:
         """`over IDENT`: the signature named IDENT."""
         self.expect("over")
-        sig_tok = self.expect_kind("ident")
-        if sig_tok.text not in self.ws.signatures:
-            raise self.error(f"unknown signature {sig_tok.text!r}", sig_tok)
-        return self.ws.signatures[sig_tok.text]
+        return self._ref(self.ws.signatures, "signature")[1]
 
     def _signature(self) -> None:
         name = self.expect_kind("ident")

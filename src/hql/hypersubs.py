@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Mapping
 
 from .terms import (
@@ -79,11 +79,18 @@ class HyperSub:
     def identity(cls, sig: Signature) -> "HyperSub":
         return cls(tuple((op, _identity_image(op, n)) for op, n in sig.ops))
 
+    @cached_property
+    def _image(self) -> dict[str, Term]:
+        # a lookup table, not a field: equality, hash and repr stay on
+        # `images`; built on first use, as most members of a large preset
+        # are never asked for an image
+        return dict(self.images)
+
     def image(self, op: str) -> Term:
-        for o, t in self.images:
-            if o == op:
-                return t
-        raise TermError(f"no image for operation symbol {op!r}")
+        img = self._image.get(op)
+        if img is None:
+            raise TermError(f"no image for operation symbol {op!r}")
+        return img
 
     def apply(self, term: Term) -> Term:
         """Inductive action on terms; variables are fixed."""
@@ -326,6 +333,22 @@ class Monoid:
         index, applications by symbol name, then argument by argument)."""
         return _elements(self)
 
+    def size(self) -> int:
+        """The number of members.  A preset's is the product of its
+        per-symbol counts, found without listing a member; past
+        MAX_PRESET_MEMBERS it raises the MonoidError that `elements` does."""
+        spec = PRESETS.get(self.kind)
+        if spec is None:
+            return len(self.elements())
+        count = math.prod(spec.count(self.sig, op, n, self.params) for op, n in self.sig.ops)
+        if count > MAX_PRESET_MEMBERS:
+            size = f"{count:,}" if count < _COUNT_CEILING else f"at least {_COUNT_CEILING:,}"
+            raise MonoidError(
+                f"preset {self.kind} over {self.sig.name or 'an unnamed signature'} has {size} "
+                f"members, more than the {MAX_PRESET_MEMBERS:,} that can be enumerated"
+            )
+        return count
+
     def contains(self, sigma: HyperSub) -> bool:
         return sigma in _element_set(self)
 
@@ -341,7 +364,7 @@ class Monoid:
         return None if self.is_exhaustive else self.params[0]
 
     def coverage_note(self) -> str:
-        n = len(self.elements())
+        n = self.size()
         if self.is_exhaustive:
             return f"exhaustive over {n} element(s)"
         return f"verified up to image depth {self.image_depth} ({n} element(s))"
@@ -370,13 +393,7 @@ def _elements(m: Monoid) -> tuple[HyperSub, ...]:
     spec = PRESETS.get(m.kind)
     if spec is None:
         raise MonoidError(f"unknown monoid kind {m.kind!r}")
-    count = math.prod(spec.count(m.sig, op, n, m.params) for op, n in m.sig.ops)
-    if count > MAX_PRESET_MEMBERS:
-        size = f"{count:,}" if count < _COUNT_CEILING else f"at least {_COUNT_CEILING:,}"
-        raise MonoidError(
-            f"preset {m.kind} over {m.sig.name or 'an unnamed signature'} has {size} "
-            f"members, more than the {MAX_PRESET_MEMBERS:,} that can be enumerated"
-        )
+    m.size()  # refuses an oversized preset before any image is built
     choices = []
     for op, arity in m.sig.ops:
         imgs = spec.images(m.sig, op, arity, m.params)

@@ -16,6 +16,11 @@ operation as the term operation of its image.  Thousands of members
 typically share a handful of derived algebras, so each check is decided
 once per distinct derived algebra (identified by its tables) within one
 call; sigma(q) is built only for the member whose witness is reported.
+Over a `depth(d)` preset the hyper checks list no member: they walk tuples
+of per-operation table classes (`FiniteAlgebra.term_classes`), in the order
+of their representatives.  A tuple's representatives form the first member
+with its tables in canonical order, and the member walk first meets the
+tuples in that same order, so the reported sigma and witness are unchanged.
 
 All checks are exhaustive over assignments and monoid members -- never
 sampled -- and report the lexicographically first counterexample under the
@@ -172,25 +177,33 @@ class _DerivedAlgebras:
     by term: the cache is the memo of `term_table`, so each distinct image
     is evaluated once whichever operations it is the image of, and each
     subterm shared by images once.  Keys are kept across the checks of one
-    call.  Each check runs once per distinct key, so thousands of members
-    sharing a handful of derived algebras cost a handful of checks.
+    call.
+
+    `results` walks every member.  `distinct` visits each derived algebra
+    once, with its first member; over a `depth(d)` preset it walks the
+    product of the per-operation classes of `FiniteAlgebra.term_classes`
+    instead (operations of one arity share one list), whose order and
+    representatives are the member walk's (see the module docstring).
     """
 
     def __init__(self, algebra: FiniteAlgebra, monoid: Monoid):
         self.algebra = algebra
-        self.sigmas = monoid.elements()
+        self.monoid = monoid
+        monoid.size()  # refuses an oversized preset before any table is built
         self._tables: dict[int, dict[Term, tuple[int, ...]]] = {n: {} for _, n in algebra.sig.ops}
         self._keys: list[tuple[tuple[int, ...], ...]] = []
+        self._classes: dict[int, list[tuple[tuple[int, ...], Term]]] = {}
 
-    def results(
-        self, check: Callable[[FiniteAlgebra], CheckResult]
-    ) -> Iterator[tuple[HyperSub, CheckResult]]:
-        """(sigma, check(A^sigma)) in canonical order; keys are computed on
-        first visit and `check` runs once per distinct key."""
+    def _derived(self, key: tuple[tuple[int, ...], ...]) -> FiniteAlgebra:
+        a = self.algebra
+        return FiniteAlgebra(a.sig, a.universe, key, name=a.name)
+
+    def _members(self) -> Iterator[tuple[HyperSub, tuple[tuple[int, ...], ...]]]:
+        """(sigma, key) for every member in canonical order; keys are
+        computed on first visit."""
         a, keys = self.algebra, self._keys
         ops = [(op, arity, self._tables[arity]) for op, arity in a.sig.ops]
-        verdicts: dict[tuple, CheckResult] = {}
-        for n, sigma in enumerate(self.sigmas):
+        for n, sigma in enumerate(self.monoid.elements()):
             if n == len(keys):
                 key = []
                 for op, arity, tables in ops:
@@ -200,18 +213,45 @@ class _DerivedAlgebras:
                         table = a.term_table(img, arity, tables)
                     key.append(table)
                 keys.append(tuple(key))
-            key = keys[n]
+            yield sigma, keys[n]
+
+    def results(
+        self, check: Callable[[FiniteAlgebra], CheckResult]
+    ) -> Iterator[tuple[HyperSub, CheckResult]]:
+        """(sigma, check(A^sigma)) for every member in canonical order;
+        `check` runs once per distinct key."""
+        verdicts: dict[tuple, CheckResult] = {}
+        for sigma, key in self._members():
             verdict = verdicts.get(key)
             if verdict is None:
-                verdict = verdicts[key] = check(FiniteAlgebra(a.sig, a.universe, key, name=a.name))
+                verdict = verdicts[key] = check(self._derived(key))
             yield sigma, verdict
+
+    def distinct(self) -> Iterator[tuple[HyperSub, FiniteAlgebra]]:
+        """(sigma, A^sigma) once per distinct derived algebra, for its first
+        member, in the order the member walk first meets them."""
+        a, monoid = self.algebra, self.monoid
+        if monoid.kind == "depth":
+            if not self._classes:
+                depth = monoid.params[0]
+                self._classes = {n: list(a.term_classes(n, depth, memo).items()) for n, memo in self._tables.items()}
+            ops = a.sig.op_names
+            for pairs in itertools.product(*(self._classes[n] for _, n in a.sig.ops)):
+                tables, reps = zip(*pairs)
+                yield HyperSub(tuple(zip(ops, reps))), self._derived(tables)
+            return
+        seen = set()
+        for sigma, key in self._members():
+            if key not in seen:
+                seen.add(key)
+                yield sigma, self._derived(key)
 
 
 def _hyper(derived: _DerivedAlgebras, quasi: QuasiEquation) -> CheckResult:
     """The first member whose derived algebra refutes `quasi` gets the
     witness of the classical check of sigma(quasi) in the algebra itself."""
-    for sigma, ok in derived.results(lambda d: bool(satisfies(d, quasi))):
-        if not ok:
+    for sigma, algebra in derived.distinct():
+        if not satisfies(algebra, quasi):
             result = satisfies(derived.algebra, sigma.apply_quasi(quasi))
             result.sigma = sigma
             return result

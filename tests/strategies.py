@@ -67,8 +67,8 @@ def _clamp_vars(term, arity):
 
 
 @st.composite
-def random_algebras(draw, sig, min_size=1):
-    size = draw(st.integers(min_size, 3))
+def random_algebras(draw, sig, min_size=1, max_size=3):
+    size = draw(st.integers(min_size, max_size))
     tables = {
         op: draw(st.lists(st.integers(0, size - 1), min_size=size**n, max_size=size**n))
         for op, n in sig.ops

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 
 import hql
+import hql.hypersubs
 from hql.cli import EXIT_CODES, main
 from hql.dsl import Workspace, tokenize
 from hql.fixtures import fixture_paths
@@ -274,6 +275,27 @@ def test_monoid_too_large_exits_2(capsys, fixture_files, tmp_path):
         assert out == ""
         assert err.startswith("error: ") and count in err and err.count("\n") == 1
         assert "Traceback" not in err
+
+
+def test_hypercheck_over_depth_slices(capsys, fixture_files, tmp_path, monkeypatch):
+    # depth(2) over LAT has 40,804 members and 16 class tuples on l2, and is
+    # answered without listing a member; depth(3) is refused
+    slices = tmp_path / "slices.hql"
+    slices.write_text("monoid d2 over LAT { preset depth(2); }\nmonoid d3 over LAT { preset depth(3); }\n")
+    monkeypatch.setattr(hql.hypersubs.Monoid, "elements", lambda self: pytest.fail("member list built"))
+    argv = ("hypercheck", *fixture_files, str(slices), "--algebra", "l2", "--theory", "lattice_laws", "--monoid")
+    assert run(capsys, *argv, "d2") == (1, (
+        "hypercheck lattice_laws on l2 under d2 (verified up to image depth 2 (40804 element(s))): FAILS\n"
+        "  item:       #1\n"
+        "  sigma:      meet -> x0; join -> x0\n"
+        "  assignment: x0 = 0, x1 = 1\n"
+        "  failed:     x0 = x1\n"
+        "  values:     0 != 1\n"
+    ), "")
+    assert run(capsys, *argv, "d3") == (2, "", (
+        "error: preset depth over LAT has 6,660,192,100 members, "
+        "more than the 1,000,000 that can be enumerated\n"
+    ))
 
 
 def test_monoid_closure_too_large_exits_2(capsys, fixture_files, tmp_path):

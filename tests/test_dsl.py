@@ -196,8 +196,6 @@ PARSE_ERRORS = [
      "t.hql:1:19: expected ident, found 'end of input'"),
     ("end_of_input_in_term", _S + "quasi q over S { f(x,",
      "t.hql:2:22: expected a term, found 'end of input'"),
-    ("after_comment_line", "# header\n" + _S + "# note: T comes later\nalgebra A over T { elements 0; }",
-     "t.hql:4:16: unknown signature 'T'"),
     ("comment_at_end_of_line", _S + "quasi q over S { f(x) = x }  # one argument",
      "t.hql:2:21: operation 'f' expects 2 argument(s), got 1"),
     ("after_crlf", _S.replace("\n", "\r\n") + "quasi q over S {\r\n  f(x, c(), y) = x\r\n}",
@@ -216,8 +214,6 @@ PARSE_ERRORS = [
      "t.hql:2:1: expected a definition keyword, found 'sig'"),
     ("variable_named_operation", "signature S { x1/2; }",
      "t.hql:1:15: operation name 'x1' clashes with variable syntax"),
-    ("unknown_signature", "algebra A over NOPE { elements 0; }",
-     "t.hql:1:16: unknown signature 'NOPE'"),
     ("table_rows", _S + "algebra A over S { elements 0 1; f = [[0, 1], [1]]; c = 0; }",
      "t.hql:2:34: table for 'f' must have 2 row(s) per level"),
     ("unknown_label", _S + "algebra A over S { elements 0 1; f = [[0, 1], [1, 2]]; c = 0; }",
@@ -246,8 +242,6 @@ PARSE_ERRORS = [
      "t.hql:5:6: unexpected keyword 'by'"),
     ("substitution_key", _P + "2: f(x1, x0) = f(x0, x1) by subst 1 {y -> x1}\n",
      "t.hql:5:38: substitution keys must be explicit x<digits>"),
-    ("proof_unknown_signature", _T + "proof p over NOPE in Q from T\n",
-     "t.hql:3:14: unknown signature 'NOPE'"),
     ("unknown_logic", _T + "proof p over S in R from T\n",
      "t.hql:3:19: unknown logic 'R'"),
     ("proof_monoid_signature",
@@ -324,13 +318,19 @@ def test_tokenize_matches_oracle(text):
 
 
 def test_unknown_signature_reference():
-    with pytest.raises(ParseError):
+    with pytest.raises(ResolveError):
         Workspace().load_text("algebra A over NOPE { elements 0; }")
 
 
 # A name that resolves to nothing or is defined twice, and its exact
 # message.  A pair of texts is loaded as `s.hql`, then `t.hql`.
 RESOLVE_ERRORS = [
+    ("unknown_signature", "algebra A over NOPE { elements 0; }",
+     "t.hql:1:16: unknown signature 'NOPE'"),
+    ("after_comment_line", "# header\n" + _S + "# note: T comes later\nalgebra A over T { elements 0; }",
+     "t.hql:4:16: unknown signature 'T'"),
+    ("proof_unknown_signature", _T + "proof p over NOPE in Q from T\n",
+     "t.hql:3:14: unknown signature 'NOPE'"),
     ("mhq_monoid", _T + "proof p over S in MHQ(nosuch) from T\n", "t.hql:3:23: unknown monoid 'nosuch'"),
     ("proof_theory", _T + "proof p over S in Q from nosuch\n", "t.hql:3:26: unknown theory 'nosuch'"),
     ("hypsub_sigma", _P + "2: f(x1, x0) = f(x0, x1) by hypsub 1 nosuch\n",

@@ -1,9 +1,12 @@
+import dataclasses
 import itertools
+import pickle
 import time
 
 import pytest
 from hypothesis import given, settings
 
+import hql.hypersubs
 from hql.hypersubs import PRESETS, HyperSub, Monoid, MonoidError
 from hql.terms import App, Equation, QuasiEquation, Signature, TermError, Var, subst_vars
 
@@ -36,6 +39,17 @@ def test_image_validation():
         HyperSub.of(GRP, {"mul": x2})  # variable beyond the arity
     with pytest.raises(TermError):
         HyperSub.of(GRP, {"mul": mul(x0, x1), "extra": x0})
+
+
+def test_image_lookup_is_not_a_field():
+    sigma = HyperSub.of(GRP, {"mul": mul(x1, x0)})
+    before = (repr(sigma), hash(sigma))
+    assert sigma.image("mul") == mul(x1, x0)
+    assert (repr(sigma), hash(sigma)) == before == (repr(SWAP), hash(SWAP))
+    assert sigma == SWAP and [f.name for f in dataclasses.fields(sigma)] == ["images"]
+    assert pickle.loads(pickle.dumps(sigma)) == sigma
+    with pytest.raises(TermError, match="no image for operation symbol 'div'"):
+        sigma.image("div")
 
 
 def test_identity_application():
@@ -220,6 +234,34 @@ def test_preset_count_is_the_image_count(ws):
             spec = PRESETS[word]
             for op, n in sig.ops:
                 assert spec.count(sig, op, n, params) == len(spec.images(sig, op, n, params)), (sig.name, word, params, op)
+
+
+def test_size_is_the_member_count(ws, monkeypatch):
+    monoids = [
+        Monoid.preset(sig, word, *params)
+        for sig in (GRP, LAT, ws.signature("FLAT"), MIXED)
+        for word, params in _preset_spellings(sig, (0, 1))
+        if (word, params[:1]) != ("zero_meet", (0,))  # no admissible image
+    ]
+    monoids += [Monoid.depth_slice(GRP, 3), Monoid.depth_slice(LAT, 2), *ws.monoids.values()]
+    for m in monoids:
+        assert m.size() == len(m.elements()), (m.sig.name, m.kind, m.params)
+    # a preset is counted, and its coverage note written, without a member
+    # list; an oversized one is refused with the message of `elements`
+    refusals = {}
+    for sig, depth in ((LAT, 3), (ws.signature("BOOL"), 1)):
+        with pytest.raises(MonoidError) as err:
+            Monoid.depth_slice(sig, depth).elements()
+        refusals[sig] = str(err.value)
+    monkeypatch.setattr(hql.hypersubs, "_elements", lambda m: pytest.fail("member list built"))
+    assert Monoid.depth_slice(LAT, 2).size() == 40_804
+    assert Monoid.depth_slice(LAT, 2).coverage_note() == "verified up to image depth 2 (40804 element(s))"
+    assert Monoid.fundamental(LAT).coverage_note() == "exhaustive over 64 element(s)"
+    for sig, depth in ((LAT, 3), (ws.signature("BOOL"), 1)):
+        for call in (Monoid.size, Monoid.coverage_note):
+            with pytest.raises(MonoidError) as err:
+                call(Monoid.depth_slice(sig, depth))
+            assert str(err.value) == refusals[sig]
 
 
 def test_members_come_in_canonical_order(ws):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 
 from hql.algebras import BLOCK, AlgebraError, FiniteAlgebra, all_algebras
-from hql.hypersubs import HyperSub, Monoid
+from hql.hypersubs import HyperSub, Monoid, MonoidError
 import hql.semantics
 from hql.semantics import (
     Theory,
@@ -26,7 +26,7 @@ from hql.semantics import (
     satisfies,
     satisfies_theory,
 )
-from hql.terms import App, Equation, QuasiEquation, Signature, Var, subst_vars, variables
+from hql.terms import App, Equation, QuasiEquation, Signature, Var, iter_terms, subst_vars, term_key, variables
 
 import _eval_oracle
 import _flat_oracle
@@ -408,7 +408,8 @@ def test_term_tables_match_recursive_oracle(ws, data):
             assert algebra.term_table(term, n, memos[n]) == want
     # the keys of one hyper_satisfies_theory call, computed by its first
     # item and read by its second (or cut short when the first fails), are
-    # each member's derived tables
+    # each member's derived tables; over a depth preset no member key is
+    # computed, and each class tuple's tables are its sigma's derived tables
     made = []
 
     class Recorded(hql.semantics._DerivedAlgebras):
@@ -421,10 +422,20 @@ def test_term_tables_match_recursive_oracle(ws, data):
     with mock.patch.object(hql.semantics, "_DerivedAlgebras", Recorded):
         hyper_satisfies_theory(algebra, theory, monoid)
     (derived,) = made
-    assert derived._keys
-    for sigma, key in zip(derived.sigmas, derived._keys):
+    members = monoid.elements()
+    assert bool(derived._keys) != (monoid.kind == "depth")
+    for sigma, key in zip(members, derived._keys):
         want = tuple(_oracle_table(algebra, sigma.image(op), n) for op, n in sig.ops)
         assert key == algebra.derived(sigma).tables == want
+    # every distinct derived algebra with its first member (a class tuple
+    # over a depth preset), read after the call through the same memo
+    keys = []
+    for sigma, d in derived.distinct():
+        want = tuple(_oracle_table(algebra, sigma.image(op), n) for op, n in sig.ops)
+        assert d.tables == algebra.derived(sigma).tables == want
+        keys.append(d.tables)
+    assert len(set(keys)) == len(keys)
+    assert set(keys) == {algebra.derived(sigma).tables for sigma in members}
 
 
 WIDE = Signature.of("WIDE", h=8, f=2, c=0)
@@ -453,6 +464,140 @@ def test_term_table_above_block_matches_recursive_oracle(data):
     assert 3**8 > BLOCK
     assert set(memo) == set(images)
     assert all(len(t) == 3**8 for t in memo.values())
+
+
+# -- differential: per-operation table classes vs sorted term lists --------
+
+
+def _reference_classes(algebra, arity, depth):
+    """The first term of each table among every term of depth <= `depth`
+    sorted by term_key, tables by the recursive evaluator."""
+    found = {}
+    for term in sorted(iter_terms(algebra.sig, arity, depth), key=term_key):
+        found.setdefault(_oracle_table(algebra, term, arity), term)
+    return list(found.items())
+
+
+def _class_depths(ws):
+    """Each signature with the greatest depth its reference sorts quickly;
+    past their closing depths on small algebras, where the tables stop
+    growing but representatives may still move."""
+    return {GRP: 3, LAT: 2, ws.signature("BOOL"): 1, ws.signature("FLAT"): 2, MIXED: 2}
+
+
+def test_term_classes_match_sorted_terms_on_fixtures(ws):
+    depths = _class_depths(ws)
+    for algebra in ws.algebras.values():
+        for n in {n for _, n in algebra.sig.ops}:
+            for depth in range(depths[algebra.sig] + 1):
+                got = algebra.term_classes(n, depth)
+                assert list(got.items()) == _reference_classes(algebra, n, depth), (algebra.name, n, depth)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_term_classes_match_sorted_terms(ws, data):
+    depths = _class_depths(ws)
+    sig = data.draw(st.sampled_from(sorted(depths, key=lambda sig: sig.name)))
+    algebra = data.draw(random_algebras(sig, min_size=2))
+    # one memo per arity across the depths, as a check shares it
+    for n in sorted({n for _, n in sig.ops}):
+        memo = {}
+        for depth in range(depths[sig] + 1):
+            want = _reference_classes(algebra, n, depth)
+            assert list(algebra.term_classes(n, depth).items()) == want
+            assert list(algebra.term_classes(n, depth, memo).items()) == want
+
+
+def test_term_class_representatives_move_after_closure():
+    # meet is "and", join the first projection: join(meet(x0, x1), x0) has
+    # the table of meet(x0, x1) and is less by term_key ("join" < "meet")
+    algebra = FiniteAlgebra.of(LAT, ["0", "1"], {"meet": [0, 0, 0, 1], "join": [0, 0, 1, 1]})
+    meet = App("meet", (x0, x1))
+    layers = [algebra.term_classes(2, depth) for depth in range(4)]
+    assert list(layers[1]) == list(layers[2]) == list(layers[3])  # closed at depth 1
+    assert layers[1][(0, 0, 0, 1)] == meet
+    assert layers[2][(0, 0, 0, 1)] == App("join", (meet, x0))
+    assert layers[3][(0, 0, 0, 1)] == App("join", (App("join", (meet, x0)), x0))
+    for depth, layer in enumerate(layers[:3]):
+        assert list(layer.items()) == _reference_classes(algebra, 2, depth)
+
+
+# -- differential: the class walk over depth(d) vs the member walk -----------
+
+
+def _member_walk(algebra, theory, monoid):
+    """The hyper check over every member: keys in canonical order, one
+    check per distinct key per item."""
+    derived = hql.semantics._DerivedAlgebras(algebra, monoid)
+    for i, quasi in enumerate(theory.items):
+        for sigma, ok in derived.results(lambda d: bool(satisfies(d, quasi))):
+            if not ok:
+                result = satisfies(algebra, sigma.apply_quasi(quasi))
+                result.sigma, result.item = sigma, i
+                return result
+    return True
+
+
+def _first_members(algebra, monoid):
+    """(sigma, tables) for the first member with each tuple of derived
+    tables, in member order."""
+    first = {}
+    for sigma in monoid.elements():
+        first.setdefault(algebra.derived(sigma).tables, sigma)
+    return [(sigma, key) for key, sigma in first.items()]
+
+
+def _class_walk(algebra, monoid):
+    return [(sigma, d.tables) for sigma, d in hql.semantics._DerivedAlgebras(algebra, monoid).distinct()]
+
+
+# every depth(d) slice within the refusal bound
+_SLICES = [(GRP, d) for d in range(4)] + [(LAT, d) for d in range(3)]
+
+
+def test_class_walk_matches_member_walk_on_fixtures(ws):
+    for sig, depth in _SLICES:
+        monoid = Monoid.depth_slice(sig, depth)
+        theories = [t for t in ws.theories.values() if t.sig == sig]
+        theories += [Theory(sig, (q,)) for qsig, q in ws.quasis.values() if qsig == sig]
+        for algebra in (a for a in ws.algebras.values() if a.sig == sig):
+            assert _class_walk(algebra, monoid) == _first_members(algebra, monoid)
+            for theory in theories:
+                got = hyper_satisfies_theory(algebra, theory, monoid)
+                assert got == _member_walk(algebra, theory, monoid), (algebra.name, theory.name, depth)
+    l2, laws = ws.algebra("l2"), ws.theory("lattice_laws")
+    assert hyper_satisfies_theory(l2, laws, Monoid.depth_slice(LAT, 2)) == oracle.hyper_satisfies_theory(
+        l2, laws, Monoid.depth_slice(LAT, 2)
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_class_walk_matches_member_walk(data):
+    sig, depth = data.draw(st.sampled_from(_SLICES))
+    # a size-3 LAT algebra can have 18,496 class tuples at depth 2
+    algebra = data.draw(random_algebras(sig, min_size=2, max_size=2 if (sig, depth) == (LAT, 2) else 3))
+    monoid = Monoid.depth_slice(sig, depth)
+    items = data.draw(st.lists(quasis(sig, max_depth=2, max_premises=2), min_size=1, max_size=3))
+    theory = Theory(sig, tuple(items))
+    assert _class_walk(algebra, monoid) == _first_members(algebra, monoid)
+    got = hyper_satisfies_theory(algebra, theory, monoid)
+    assert got == _member_walk(algebra, theory, monoid)
+    if monoid.size() <= 1446:  # the per-sigma oracle on every member
+        assert got == oracle.hyper_satisfies_theory(algebra, theory, monoid)
+
+
+def test_class_walk_lists_no_member(ws, monkeypatch):
+    # 16 class tuples for the 40,804 members of depth(2) over LAT on l2,
+    # 9 for the 1,446 of depth(3) over GRP on z3sub
+    monkeypatch.setattr(Monoid, "elements", lambda self: pytest.fail("member list built"))
+    for name, sig, depth, tuples in (("l2", LAT, 2, 16), ("z3sub", GRP, 3, 9)):
+        assert len(_class_walk(ws.algebra(name), Monoid.depth_slice(sig, depth))) == tuples
+    # an oversized slice is refused before any table is built
+    monkeypatch.setattr(FiniteAlgebra, "term_classes", lambda *a: pytest.fail("classes built"))
+    with pytest.raises(MonoidError, match="depth over LAT has 6,660,192,100 members"):
+        hyper_satisfies_theory(ws.algebra("l2"), Theory(LAT, ()), Monoid.depth_slice(LAT, 3))
 
 
 def _same_verdict(got, want):
