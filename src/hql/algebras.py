@@ -108,6 +108,8 @@ class FiniteAlgebra:
         """Each term's value at every position, where `columns` maps each
         variable to its values, one per position.  Bottom-up with an
         explicit stack; a node shared between terms is evaluated once.
+        An application's row-major table index is folded over its arguments
+        but the last, and the last step is taken inside the table lookup.
         `memo` holds the values already known at these same positions, keyed
         by term; the call reads it and fills it in."""
         size, n = self.size, len(next(iter(columns.values()), [0]))
@@ -126,10 +128,14 @@ class FiniteAlgebra:
             if pending:
                 stack += [t, *pending]
                 continue
-            pos = memo[t.args[0]] if t.args else [0] * n
-            for a in t.args[1:]:
-                pos = [p * size + q for p, q in zip(pos, memo[a])]
-            memo[t] = tuple(map(self.table(t.op).__getitem__, pos))
+            table, args = self.table(t.op), [memo[a] for a in t.args]
+            if len(args) < 2:
+                memo[t] = tuple(map(table.__getitem__, args[0] if args else (0,) * n))
+                continue
+            pos = args[0]
+            for a in args[1:-1]:
+                pos = [p * size + q for p, q in zip(pos, a)]
+            memo[t] = tuple([table[p * size + q] for p, q in zip(pos, args[-1])])
         return [memo[t] for t in terms]
 
     def eval(self, term: Term, env: Mapping[int, int]) -> int:
@@ -140,15 +146,25 @@ class FiniteAlgebra:
         self, term: Term, arity: int, memo: dict[Term, tuple[int, ...]] | None = None
     ) -> tuple[int, ...]:
         """The `arity`-ary term operation of `term` (over x0..x_{arity-1}),
-        as a flat row-major table.  `memo` maps terms to their tables at
-        this arity and is filled in: with every subterm when the table fits
-        one block, with the finished table alone when it does not."""
+        as a flat row-major table; see `term_tables`."""
+        return self.term_tables([term], arity, memo)[0]
+
+    def term_tables(
+        self, terms: Sequence[Term], arity: int, memo: dict[Term, tuple[int, ...]] | None = None
+    ) -> list[tuple[int, ...]]:
+        """The `arity`-ary term operations of `terms`, in one `values` call
+        per block.  `memo` maps terms to their tables at this arity and is
+        filled in: with every subterm when a table fits one block, with the
+        finished tables alone when it does not."""
         if self.size**arity <= BLOCK:
-            return self.values([term], dict(enumerate(grid(self.size, arity))), memo)[0]
+            return self.values(terms, dict(enumerate(grid(self.size, arity))), memo)
         memo = {} if memo is None else memo
-        if term not in memo:
-            memo[term] = tuple(v for c in self.blocks(range(arity)) for v in self.values([term], c)[0])
-        return memo[term]
+        todo = [t for t in terms if t not in memo]
+        if todo:
+            parts = [self.values(todo, c) for c in self.blocks(range(arity))]
+            for i, t in enumerate(todo):
+                memo[t] = tuple(v for part in parts for v in part[i])
+        return [memo[t] for t in terms]
 
     def term_classes(
         self, arity: int, depth: int, memo: dict[Term, tuple[int, ...]] | None = None
@@ -156,7 +172,7 @@ class FiniteAlgebra:
         """The distinct tables of the terms over x0..x(arity-1) of depth
         <= `depth`, each mapped to its representative, the `term_key`-least
         term with that table, in representative order.  `memo` is read and
-        filled in as by `term_table`.
+        filled in as by `term_tables`, which evaluates each layer in one call.
 
         Layer k+1 is built from layer k alone, with no term enumeration: a
         term of depth <= k+1 is an atom or op(t1, ..., tm) over terms of
@@ -175,8 +191,8 @@ class FiniteAlgebra:
             terms = [Var(i) for i in range(arity)]
             terms += [App(op, args) for op, n in heads for args in itertools.product(reps, repeat=n)]
             layer = {}
-            for term in terms:
-                layer.setdefault(self.term_table(term, arity, memo), term)
+            for term, table in zip(terms, self.term_tables(terms, arity, memo)):
+                layer.setdefault(table, term)
         return layer
 
     def derived(self, sigma: HyperSub) -> "FiniteAlgebra":

@@ -25,7 +25,10 @@ tuples in that same order, so the reported sigma and witness are unchanged.
 All checks are exhaustive over assignments and monoid members -- never
 sampled -- and report the lexicographically first counterexample under the
 fixed orderings (variables ascending, elements in universe order, monoid
-members in canonical order).  Everything is pure; internal sweeps could be
+members in canonical order).  The classical check evaluates a conclusion
+only at the assignments where every premise holds, and each premise only
+where the earlier ones hold; those assignments stay in order, so the first
+refuting one is unchanged.  Everything is pure; internal sweeps could be
 parallelised as long as the first-in-order witness is the one reported.
 The algebra, theory and monoid of one check must share one signature.
 
@@ -40,6 +43,7 @@ depth 1).
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator, Sequence, Union
 
@@ -126,16 +130,31 @@ CheckResult = Union[bool, CounterExample]
 
 def satisfies(algebra: FiniteAlgebra, item: Union[Equation, QuasiEquation]) -> CheckResult:
     """Classical satisfaction, exhaustive over all assignments, evaluated
-    one block of assignments at a time; the first refuting one is the witness."""
+    one block of assignments at a time; the first refuting one is the witness.
+
+    In each block the premises are evaluated in order, each only at the
+    assignments where every earlier one holds: the columns are cut down to
+    those positions, in order.  The conclusion is evaluated only where
+    every premise holds.  The survivors keep the block's lexicographic
+    order, so the first one whose conclusion fails is the first refuting
+    assignment of the block."""
     quasi = as_quasi(item)
     vs = sorted(quasi.variables())
-    sides = [t for eq in (*quasi.premises, quasi.conclusion) for t in (eq.lhs, eq.rhs)]
     for columns in algebra.blocks(vs):
-        *premises, lhs, rhs = algebra.values(sides, columns)
-        pairs = list(zip(premises[::2], premises[1::2]))
-        for k, (left, right) in enumerate(zip(lhs, rhs)):
-            if left != right and all(p[k] == q[k] for p, q in pairs):
-                return CounterExample(quasi.conclusion, {v: columns[v][k] for v in vs}, left, right)
+        memo: dict = {}
+        for eq in quasi.premises:
+            lhs, rhs = algebra.values([eq.lhs, eq.rhs], columns, memo)
+            if lhs != rhs:
+                keep = list(map(operator.eq, lhs, rhs))
+                if not any(keep):  # no survivor; a ground block's {} would read as one position
+                    break
+                columns, memo = {v: list(itertools.compress(c, keep)) for v, c in columns.items()}, {}
+        else:
+            conclusion = quasi.conclusion
+            lhs, rhs = algebra.values([conclusion.lhs, conclusion.rhs], columns, memo)
+            if lhs != rhs:
+                k = list(map(operator.eq, lhs, rhs)).index(False)
+                return CounterExample(conclusion, {v: columns[v][k] for v in vs}, lhs[k], rhs[k])
     return True
 
 

@@ -10,6 +10,7 @@ from hql.hypersubs import HyperSub
 GRP = Signature.of("GRP", mul=2)
 LAT = Signature.of("LAT", meet=2, join=2)
 MIXED = Signature.of("MIXED", f=2, g=1, c=0)
+TERN = Signature.of("TERN", h=3, g=1, c=0)
 
 
 def terms(sig, n_vars=3, max_depth=4):

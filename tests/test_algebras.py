@@ -6,7 +6,7 @@ from hql.algebras import AlgebraError, FiniteAlgebra, all_algebras
 from hql.hypersubs import HyperSub
 from hql.terms import App, Signature, Var, variables
 
-from strategies import GRP, LAT, MIXED, hypersubs, random_algebras, terms
+from strategies import GRP, LAT, MIXED, TERN, hypersubs, random_algebras, terms
 
 x0, x1 = Var(0), Var(1)
 
@@ -117,7 +117,7 @@ def test_derived_functoriality(ws, s1, s2):
 @given(st.data())
 def test_term_table_from_argument_tables(data):
     # the table of f(t1, ..., tk) is f applied to the tables of the ti as columns
-    sig = data.draw(st.sampled_from([GRP, LAT, MIXED]))
+    sig = data.draw(st.sampled_from([GRP, LAT, MIXED, TERN]))
     algebra = data.draw(random_algebras(sig))
     op, k = data.draw(st.sampled_from([(op, k) for op, k in sig.ops if k >= 1]))
     n = data.draw(st.integers(1, 3))

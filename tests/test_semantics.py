@@ -31,7 +31,7 @@ from hql.terms import App, Equation, QuasiEquation, Signature, Var, iter_terms, 
 import _eval_oracle
 import _flat_oracle
 import _hyper_oracle as oracle
-from strategies import GRP, LAT, MIXED, quasis, random_algebras, terms
+from strategies import GRP, LAT, MIXED, TERN, quasis, random_algebras, terms
 
 x0, x1, x2 = Var(0), Var(1), Var(2)
 
@@ -320,13 +320,17 @@ def _dropping_monoid(sig):
             {"f": App("g", (x0,)), "g": App("g", (x0,)), "c": App("c")},
             {"f": x1, "g": x0, "c": App("c")},
         ],
+        TERN: [
+            {"h": App("g", (x2,)), "g": x0, "c": App("c")},
+            {"h": App("h", (x1, x1, App("c"))), "g": App("g", (App("c"),)), "c": App("g", (App("c"),))},
+        ],
     }[sig]
     return Monoid.generated(sig, [HyperSub.of(sig, g) for g in generators])
 
 
 # depth(2) stays with GRP (38 members): over LAT it has 40,804 and over
 # MIXED 233,766, too many for the per-sigma oracle on every example.
-_DEPTHS = {GRP: (0, 1, 2), LAT: (0, 1), MIXED: (0, 1)}
+_DEPTHS = {GRP: (0, 1, 2), LAT: (0, 1), MIXED: (0, 1), TERN: (0, 1)}
 _MONOIDS = {
     sig: [Monoid.depth_slice(sig, d) for d in depths]
     + [Monoid.fundamental(sig), _dropping_monoid(sig)]
@@ -393,7 +397,7 @@ def test_term_tables_match_recursive_oracle(ws, data):
         for m in sorted(ws.monoids)
         if ws.monoids[m].sig == ws.algebras[a].sig
     ]
-    drawn = st.sampled_from([GRP, LAT, MIXED]).flatmap(
+    drawn = st.sampled_from([GRP, LAT, MIXED, TERN]).flatmap(
         lambda sig: st.tuples(random_algebras(sig), st.sampled_from(_MONOIDS[sig]))
     )
     algebra, monoid = data.draw(st.sampled_from(fixtures) | drawn)
@@ -402,10 +406,12 @@ def test_term_tables_match_recursive_oracle(ws, data):
     # through one memo per arity as a check shares it
     memos = {n: {} for _, n in sig.ops}
     for _, n in sig.ops:
-        for term in data.draw(st.lists(_images(sig, n), min_size=1, max_size=4)):
+        images = data.draw(st.lists(_images(sig, n), min_size=1, max_size=4))
+        for term in images:
             want = _oracle_table(algebra, term, n)
             assert algebra.term_table(term, n) == want
             assert algebra.term_table(term, n, memos[n]) == want
+        assert algebra.term_tables(images, n) == [_oracle_table(algebra, t, n) for t in images]
     # the keys of one hyper_satisfies_theory call, computed by its first
     # item and read by its second (or cut short when the first fails), are
     # each member's derived tables; over a depth preset no member key is
@@ -460,6 +466,7 @@ def test_term_table_above_block_matches_recursive_oracle(data):
             want = _oracle_table(algebra, term, 8)
             assert algebra.term_table(term, 8) == want
             assert algebra.term_table(term, 8, memo) == want
+        assert algebra.term_tables(images, 8) == [memo[t] for t in images]
     # above BLOCK the memo holds finished tables only, never a block of one
     assert 3**8 > BLOCK
     assert set(memo) == set(images)
@@ -613,9 +620,10 @@ def _same_verdict(got, want):
 @given(st.data())
 def test_satisfies_matches_recursive_oracle(ws, data):
     fixtures = [ws.algebras[name] for name in sorted(ws.algebras)]
-    drawn = st.sampled_from([GRP, LAT, MIXED]).flatmap(lambda sig: random_algebras(sig, min_size=2))
+    drawn = st.sampled_from([GRP, LAT, MIXED, TERN]).flatmap(lambda sig: random_algebras(sig, min_size=2))
     algebra = data.draw(st.sampled_from(fixtures) | drawn)
-    quasi = data.draw(quasis(algebra.sig, n_vars=4))
+    # over one or two variables the premises often leave a block no survivor
+    quasi = data.draw(quasis(algebra.sig, n_vars=data.draw(st.sampled_from([1, 2, 4]))))
     _same_verdict(satisfies(algebra, quasi), _eval_oracle.satisfies(algebra, quasi))
 
 
@@ -640,6 +648,37 @@ def test_satisfies_across_blocks_matches_oracle():
     holds = QuasiEquation((below_x6,), Equation(_mul_chain(xs), _mul_chain(xs[::-1])))
     assert satisfies(chain4, holds) is True
     assert _eval_oracle.satisfies(chain4, holds) is True
+
+
+def test_ground_and_empty_block_edges_match_oracle(ws):
+    b2 = ws.algebra("b2")
+    zero, one, x, y = App("zero"), App("one"), Var(0), Var(1)
+    # a ground quasi has one assignment, the empty one
+    false_premise = QuasiEquation((Equation(zero, one),), Equation(zero, one))
+    true_premise = QuasiEquation((Equation(zero, zero),), Equation(zero, one))
+    # premises that hold nowhere, alone and only together
+    nowhere = QuasiEquation((Equation(App("not", (x,)), x),), Equation(x, y))
+    jointly = QuasiEquation((Equation(x, zero), Equation(x, one)), Equation(x, y))
+    for quasi in (false_premise, nowhere, jointly):
+        assert satisfies(b2, quasi) is True
+        assert _eval_oracle.satisfies(b2, quasi) is True
+    got = satisfies(b2, true_premise)
+    _same_verdict(got, _eval_oracle.satisfies(b2, true_premise))
+    assert got.assignment == {}
+
+
+def test_witness_after_a_block_without_survivors_matches_oracle():
+    # 7 variables over 4 elements, x0 fixed per block; mul(x0, x0) = x0
+    # fails exactly at x0 = 0, so the first block has no survivor
+    table = [max(a, b) for a in range(4) for b in range(4)]
+    table[0] = 1
+    chain4 = FiniteAlgebra.of(GRP, ["0", "1", "2", "3"], {"mul": table})
+    xs = [Var(i) for i in range(7)]
+    idempotent = Equation(App("mul", (xs[0], xs[0])), xs[0])
+    quasi = QuasiEquation((idempotent,), Equation(_mul_chain(xs[1:4]), _mul_chain(xs[4:7])))
+    got = satisfies(chain4, quasi)
+    _same_verdict(got, _eval_oracle.satisfies(chain4, quasi))
+    assert got.assignment[0] == 1  # the second block
 
 
 def test_signature_mismatch_is_an_error(ws):
