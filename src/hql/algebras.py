@@ -155,11 +155,12 @@ class FiniteAlgebra:
         """The `arity`-ary term operations of `terms`, in one `values` call
         per block.  `memo` maps terms to their tables at this arity and is
         filled in: with every subterm when a table fits one block, with the
-        finished tables alone when it does not."""
+        finished tables alone when it does not.  A repeated term is
+        evaluated once."""
         if self.size**arity <= BLOCK:
             return self.values(terms, dict(enumerate(grid(self.size, arity))), memo)
         memo = {} if memo is None else memo
-        todo = [t for t in terms if t not in memo]
+        todo = list(dict.fromkeys(t for t in terms if t not in memo))
         if todo:
             parts = [self.values(todo, c) for c in self.blocks(range(arity))]
             for i, t in enumerate(todo):

@@ -218,14 +218,13 @@ class Preset:
 
     `params` names the parameter types in `.hql` order: "depth" is a
     number, "constant" and "binary operation" name a symbol of arity 0 and
-    2.  A preset that is not `exhaustive` is a depth-bounded slice of an
-    infinite monoid, and its first parameter is the image depth bound.
+    2.  A preset with a "depth" parameter is a depth-bounded slice of an
+    infinite monoid, and that first parameter is the image depth bound.
     `count` is the length of `images` (up to _COUNT_CEILING) without
     building them, so an oversized preset is refused before any image is.
     """
 
     params: tuple[str, ...]
-    exhaustive: bool
     images: Callable[[Signature, str, int, tuple], list[Term]]
     count: Callable[[Signature, str, int, tuple], int]
 
@@ -234,11 +233,11 @@ _SYMBOL_ARITY = {"constant": 0, "binary operation": 2}
 
 # Keyed by the `.hql` preset word; the Monoid docstring says what each is.
 PRESETS: dict[str, Preset] = {
-    "trivial": Preset((), True, lambda sig, op, arity, params: [_identity_image(op, arity)], lambda *_: 1),
-    "fundamental": Preset((), True, _fundamental_images, _fundamental_count),
-    "depth": Preset(("depth",), False, lambda sig, op, arity, params: iter_terms(sig, arity, params[0]), _depth_count),
-    "zero_meet": Preset(("depth", "constant", "binary operation"), False, _zero_meet_images, _zero_meet_count),
-    "zero_meet_fundamental": Preset(("constant", "binary operation"), True, _zero_meet_fundamental_images, _zero_meet_fundamental_count),
+    "trivial": Preset((), lambda sig, op, arity, params: [_identity_image(op, arity)], lambda *_: 1),
+    "fundamental": Preset((), _fundamental_images, _fundamental_count),
+    "depth": Preset(("depth",), lambda sig, op, arity, params: iter_terms(sig, arity, params[0]), _depth_count),
+    "zero_meet": Preset(("depth", "constant", "binary operation"), _zero_meet_images, _zero_meet_count),
+    "zero_meet_fundamental": Preset(("constant", "binary operation"), _zero_meet_fundamental_images, _zero_meet_fundamental_count),
 }
 
 
@@ -356,7 +355,7 @@ class Monoid:
     def is_exhaustive(self) -> bool:
         """False for depth-bounded slices of infinite monoids."""
         spec = PRESETS.get(self.kind)
-        return spec is None or spec.exhaustive
+        return spec is None or "depth" not in spec.params
 
     @property
     def image_depth(self) -> int | None:
@@ -375,21 +374,20 @@ def _elements(m: Monoid) -> tuple[HyperSub, ...]:
     if m.kind == "explicit":
         return m.members  # validated and sorted at construction
     if m.kind == "generated":
-        ident = HyperSub.identity(m.sig)
-        closure = {ident, *m.members}
-        frontier = [ident, *m.members]
-        while frontier:
-            nxt = []
-            for a in frontier:
-                if len(closure) > m.cap:  # the identity and generators count too
-                    raise MonoidError(f"generated closure exceeds cap {m.cap}")
-                for b in list(closure):
-                    for c in (a.compose(b), b.compose(a)):
-                        if c not in closure:
-                            closure.add(c)
-                            nxt.append(c)
-            frontier = nxt
-        return tuple(sorted(closure, key=HyperSub.sort_key))
+        # every member is a word in the generators, so right products by
+        # the generators alone reach the whole closure; `found` grows while
+        # it is walked, breadth first
+        found = list(dict.fromkeys([HyperSub.identity(m.sig), *m.members]))
+        seen = set(found)
+        for a in found:
+            if len(found) > m.cap:  # the identity and generators count too
+                raise MonoidError(f"generated closure exceeds cap {m.cap}")
+            for g in m.members:
+                c = a.compose(g)
+                if c not in seen:
+                    seen.add(c)
+                    found.append(c)
+        return tuple(sorted(found, key=HyperSub.sort_key))
     spec = PRESETS.get(m.kind)
     if spec is None:
         raise MonoidError(f"unknown monoid kind {m.kind!r}")

@@ -16,6 +16,8 @@ operation as the term operation of its image.  Thousands of members
 typically share a handful of derived algebras, so each check is decided
 once per distinct derived algebra (identified by its tables) within one
 call; sigma(q) is built only for the member whose witness is reported.
+A member's tables are found by operation: one `term_tables` call tables
+that operation's images across every member, in member order.
 Over a `depth(d)` preset the hyper checks list no member: they walk tuples
 of per-operation table classes (`FiniteAlgebra.term_classes`), in the order
 of their representatives.  A tuple's representatives form the first member
@@ -42,6 +44,7 @@ depth 1).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from dataclasses import dataclass, field, replace
@@ -192,11 +195,13 @@ class _DerivedAlgebras:
     shared by the checks of one call.
 
     A member's key is the tuple of its derived tables in signature order,
-    which is its derived algebra's `tables`.  Tables are cached per arity,
-    by term: the cache is the memo of `term_table`, so each distinct image
-    is evaluated once whichever operations it is the image of, and each
-    subterm shared by images once.  Keys are kept across the checks of one
-    call.
+    which is its derived algebra's `tables`.  Keys are found by operation:
+    that operation's images across the members, in member order, are
+    tabled in one `term_tables` call, and the keys are the columns zipped.
+    Tables are cached per arity, by term: the cache is the memo of
+    `term_tables`, so each distinct image is evaluated once whichever
+    operations it is the image of, and each subterm shared by images once.
+    Keys are found on first use and kept across the checks of one call.
 
     `results` walks every member.  `distinct` visits each derived algebra
     once, with its first member; over a `depth(d)` preset it walks the
@@ -210,29 +215,23 @@ class _DerivedAlgebras:
         self.monoid = monoid
         monoid.size()  # refuses an oversized preset before any table is built
         self._tables: dict[int, dict[Term, tuple[int, ...]]] = {n: {} for _, n in algebra.sig.ops}
-        self._keys: list[tuple[tuple[int, ...], ...]] = []
-        self._classes: dict[int, list[tuple[tuple[int, ...], Term]]] = {}
 
     def _derived(self, key: tuple[tuple[int, ...], ...]) -> FiniteAlgebra:
         a = self.algebra
         return FiniteAlgebra(a.sig, a.universe, key, name=a.name)
 
-    def _members(self) -> Iterator[tuple[HyperSub, tuple[tuple[int, ...], ...]]]:
-        """(sigma, key) for every member in canonical order; keys are
-        computed on first visit."""
-        a, keys = self.algebra, self._keys
-        ops = [(op, arity, self._tables[arity]) for op, arity in a.sig.ops]
-        for n, sigma in enumerate(self.monoid.elements()):
-            if n == len(keys):
-                key = []
-                for op, arity, tables in ops:
-                    img = sigma.image(op)
-                    table = tables.get(img)
-                    if table is None:
-                        table = a.term_table(img, arity, tables)
-                    key.append(table)
-                keys.append(tuple(key))
-            yield sigma, keys[n]
+    @functools.cached_property
+    def _keys(self) -> list[tuple[tuple[int, ...], ...]]:
+        """Every member's key, in canonical member order."""
+        a, members = self.algebra, self.monoid.elements()
+        columns = [a.term_tables([sigma.image(op) for sigma in members], n, self._tables[n]) for op, n in a.sig.ops]
+        return list(zip(*columns))
+
+    @functools.cached_property
+    def _classes(self) -> dict[int, list[tuple[tuple[int, ...], Term]]]:
+        """The table classes of each arity at a `depth(d)` preset's bound."""
+        depth = self.monoid.params[0]
+        return {n: list(self.algebra.term_classes(n, depth, memo).items()) for n, memo in self._tables.items()}
 
     def results(
         self, check: Callable[[FiniteAlgebra], CheckResult]
@@ -240,7 +239,7 @@ class _DerivedAlgebras:
         """(sigma, check(A^sigma)) for every member in canonical order;
         `check` runs once per distinct key."""
         verdicts: dict[tuple, CheckResult] = {}
-        for sigma, key in self._members():
+        for sigma, key in zip(self.monoid.elements(), self._keys):
             verdict = verdicts.get(key)
             if verdict is None:
                 verdict = verdicts[key] = check(self._derived(key))
@@ -251,16 +250,13 @@ class _DerivedAlgebras:
         member, in the order the member walk first meets them."""
         a, monoid = self.algebra, self.monoid
         if monoid.kind == "depth":
-            if not self._classes:
-                depth = monoid.params[0]
-                self._classes = {n: list(a.term_classes(n, depth, memo).items()) for n, memo in self._tables.items()}
             ops = a.sig.op_names
             for pairs in itertools.product(*(self._classes[n] for _, n in a.sig.ops)):
                 tables, reps = zip(*pairs)
                 yield HyperSub(tuple(zip(ops, reps))), self._derived(tables)
             return
         seen = set()
-        for sigma, key in self._members():
+        for sigma, key in zip(monoid.elements(), self._keys):
             if key not in seen:
                 seen.add(key)
                 yield sigma, self._derived(key)

@@ -3,6 +3,7 @@ import itertools
 import pickle
 import time
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
@@ -10,6 +11,7 @@ import hql.hypersubs
 from hql.hypersubs import PRESETS, HyperSub, Monoid, MonoidError
 from hql.terms import App, Equation, QuasiEquation, Signature, TermError, Var, subst_vars
 
+import _closure_oracle
 from strategies import GRP, LAT, MIXED, hypersubs, substitutions, terms
 
 x0, x1, x2 = Var(0), Var(1), Var(2)
@@ -146,6 +148,23 @@ def test_generated_cap_exceeded():
     deep = HyperSub.of(GRP, {"mul": mul(mul(x0, x1), x1)})
     with pytest.raises(MonoidError):
         Monoid.generated(GRP, [deep], cap=3).elements()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_generated_closure_matches_pairwise_oracle(data):
+    # right products by the generators against every two-sided product, on
+    # closures that fit the cap and on ones it refuses
+    sig = data.draw(st.sampled_from([GRP, LAT, MIXED]))
+    generators = data.draw(st.lists(hypersubs(sig, max_depth=1), min_size=1, max_size=2))
+    cap = data.draw(st.integers(2, 8))
+    want = _closure_oracle.generated_closure(sig, generators, cap)
+    monoid = Monoid.generated(sig, generators, cap=cap)
+    if want is None:
+        with pytest.raises(MonoidError, match=f"exceeds cap {cap}"):
+            monoid.elements()
+    else:
+        assert monoid.elements() == want
 
 
 def test_explicit_requires_identity():

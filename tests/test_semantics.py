@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 import timeit
@@ -331,11 +332,15 @@ def _dropping_monoid(sig):
 # depth(2) stays with GRP (38 members): over LAT it has 40,804 and over
 # MIXED 233,766, too many for the per-sigma oracle on every example.
 _DEPTHS = {GRP: (0, 1, 2), LAT: (0, 1), MIXED: (0, 1), TERN: (0, 1)}
+# every monoid kind: the depth slices, the other presets, a generated
+# monoid and the same members listed explicitly
 _MONOIDS = {
     sig: [Monoid.depth_slice(sig, d) for d in depths]
-    + [Monoid.fundamental(sig), _dropping_monoid(sig)]
+    + [Monoid.trivial(sig), Monoid.fundamental(sig), _dropping_monoid(sig)]
+    + [Monoid.explicit(sig, _dropping_monoid(sig).elements())]
     for sig, depths in _DEPTHS.items()
 }
+_MONOIDS[MIXED] += [Monoid.zero_meet(MIXED, 1, "c", "f"), Monoid.zero_meet_fundamental(MIXED, "c", "f")]
 
 
 @settings(max_examples=150, deadline=None)
@@ -412,10 +417,10 @@ def test_term_tables_match_recursive_oracle(ws, data):
             assert algebra.term_table(term, n) == want
             assert algebra.term_table(term, n, memos[n]) == want
         assert algebra.term_tables(images, n) == [_oracle_table(algebra, t, n) for t in images]
-    # the keys of one hyper_satisfies_theory call, computed by its first
-    # item and read by its second (or cut short when the first fails), are
-    # each member's derived tables; over a depth preset no member key is
-    # computed, and each class tuple's tables are its sigma's derived tables
+    # over a depth preset one hyper_satisfies_theory call computes no
+    # member key; elsewhere it computes them all, and read here (which
+    # computes them over a depth preset too) they are each member's derived
+    # tables; each class tuple's tables are its sigma's derived tables
     made = []
 
     class Recorded(hql.semantics._DerivedAlgebras):
@@ -429,7 +434,7 @@ def test_term_tables_match_recursive_oracle(ws, data):
         hyper_satisfies_theory(algebra, theory, monoid)
     (derived,) = made
     members = monoid.elements()
-    assert bool(derived._keys) != (monoid.kind == "depth")
+    assert ("_keys" in vars(derived)) != (monoid.kind == "depth")
     for sigma, key in zip(members, derived._keys):
         want = tuple(_oracle_table(algebra, sigma.image(op), n) for op, n in sig.ops)
         assert key == algebra.derived(sigma).tables == want
@@ -467,10 +472,27 @@ def test_term_table_above_block_matches_recursive_oracle(data):
             assert algebra.term_table(term, 8) == want
             assert algebra.term_table(term, 8, memo) == want
         assert algebra.term_tables(images, 8) == [memo[t] for t in images]
+        # a repeated image is evaluated and written to the memo once
+        repeated = [*images, *images[::-1], fixed]
+        counting = _CountingMemo()
+        assert algebra.term_tables(repeated, 8, counting) == [memo[t] for t in repeated]
+        assert max(counting.writes.values()) == 1
     # above BLOCK the memo holds finished tables only, never a block of one
     assert 3**8 > BLOCK
-    assert set(memo) == set(images)
+    assert set(memo) == set(counting) == set(images)
     assert all(len(t) == 3**8 for t in memo.values())
+
+
+class _CountingMemo(dict):
+    """A memo that counts the writes to each of its terms."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = collections.Counter()
+
+    def __setitem__(self, term, table):
+        self.writes[term] += 1
+        super().__setitem__(term, table)
 
 
 # -- differential: per-operation table classes vs sorted term lists --------
